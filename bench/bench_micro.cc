@@ -1,6 +1,6 @@
 // Micro-benchmarks of the substrate layers: DP mechanisms, transforms,
-// prefix sums, quadtree construction, tensor ops, model steps, and the
-// end-to-end STPT pipeline at 1 vs N exec threads.
+// prefix sums, quadtree construction, tensor ops, model steps, the .stpt
+// container codec, and the end-to-end STPT pipeline at 1 vs N exec threads.
 //
 // The hot kernel families (MatMul, radix-2 FFT, Haar DWT, prefix-sum
 // scans, Laplace batch sampling) are registered once per available kernel
@@ -30,6 +30,7 @@
 #include "kernels/backend.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
+#include "serve/snapshot.h"
 #include "signal/fft.h"
 
 namespace {
@@ -84,6 +85,46 @@ void BM_PrefixSumQuery(benchmark::State& state) {
   benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_PrefixSumQuery);
+
+// The .stpt container codec at the ingest publish shape (32x32 grid,
+// 168-slice ring, 2.75 MB): the encode every epoch runs, the decode of a
+// registry load or swap, and the CRC-32 that both of them and every WAL
+// frame run.
+serve::Snapshot DeployedSnapshot() {
+  serve::SnapshotMeta meta;
+  meta.algorithm = "stream-w-event";
+  return serve::Snapshot::FromMatrix(RandomMatrix({32, 32, 168}, 13), meta);
+}
+
+void BM_SnapshotEncode(benchmark::State& state) {
+  const serve::Snapshot snap = DeployedSnapshot();
+  const size_t bytes = serve::EncodeSnapshot(snap).size();
+  for (auto _ : state) {
+    auto encoded = serve::EncodeSnapshot(snap);
+    benchmark::DoNotOptimize(encoded);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_SnapshotEncode)->Unit(benchmark::kMicrosecond);
+
+void BM_SnapshotDecode(benchmark::State& state) {
+  const std::vector<uint8_t> bytes = serve::EncodeSnapshot(DeployedSnapshot());
+  for (auto _ : state) {
+    auto snap = serve::DecodeSnapshot(bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(snap);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_SnapshotDecode)->Unit(benchmark::kMicrosecond);
+
+void BM_Crc32(benchmark::State& state) {
+  const std::vector<uint8_t> bytes = serve::EncodeSnapshot(DeployedSnapshot());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
 
 void BM_QuadtreeBuild(benchmark::State& state) {
   const auto m = RandomMatrix({32, 32, 220}, 8);

@@ -1,7 +1,12 @@
 #include "serve/snapshot.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <array>
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
@@ -18,34 +23,55 @@ constexpr int64_t kMaxAxis = 1 << 20;
 constexpr uint64_t kMaxCells = uint64_t{1} << 33;  // 64 GiB of doubles
 constexpr uint32_t kMaxAlgorithmLen = 256;
 
-// --- little-endian primitives (byte-by-byte, endian-independent) ----------
+// Fixed fields of the layout: magic, version, dims, algorithm-name length,
+// five f64 metadata fields, t_train, both section counts and the CRC.
+constexpr size_t kFixedBytes = 4 + 4 + 12 + 4 + 40 + 4 + 8 + 8 + 4;
 
-// Byte-wise append (not vector::insert over a char* range, which trips
-// GCC 12's stringop-overflow false positives under -Werror).
-void PutBytes(std::vector<uint8_t>& out, const void* src, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(src);
-  for (size_t i = 0; i < n; ++i) out.push_back(p[i]);
-}
+// --- little-endian primitives ----------------------------------------------
+//
+// Scalar fields are composed byte by byte, so they are host-endianness
+// independent. The two f64 sections are copied in bulk on little-endian
+// hosts, where the in-memory doubles already are the container bytes.
 
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v >> 16));
-  out.push_back(static_cast<uint8_t>(v >> 24));
-}
+/// Sequential writer into a buffer sized up front by EncodeSnapshot.
+class Writer {
+ public:
+  explicit Writer(uint8_t* out) : p_(out) {}
 
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
+  void Bytes(const void* src, size_t n) {
+    if (n == 0) return;  // src may be null for an empty section
+    std::memcpy(p_, src, n);
+    p_ += n;
+  }
 
-void PutI32(std::vector<uint8_t>& out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
+  void U32(uint32_t v) {
+    p_[0] = static_cast<uint8_t>(v);
+    p_[1] = static_cast<uint8_t>(v >> 8);
+    p_[2] = static_cast<uint8_t>(v >> 16);
+    p_[3] = static_cast<uint8_t>(v >> 24);
+    p_ += 4;
+  }
 
-void PutF64(std::vector<uint8_t>& out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
+  void U64(uint64_t v) {
+    U32(static_cast<uint32_t>(v));
+    U32(static_cast<uint32_t>(v >> 32));
+  }
+
+  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
+
+  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
+
+  void F64Array(const std::vector<double>& values) {
+    if constexpr (std::endian::native == std::endian::little) {
+      Bytes(values.data(), values.size() * sizeof(double));
+    } else {
+      for (double v : values) F64(v);
+    }
+  }
+
+ private:
+  uint8_t* p_;
+};
 
 /// Bounds-checked sequential reader over the container bytes. Every getter
 /// returns false on exhaustion, which callers surface as a truncation
@@ -96,10 +122,14 @@ class Cursor {
   }
 
   bool ReadF64Array(double* dst, size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      if (!ReadF64(&dst[i])) return false;
+    if constexpr (std::endian::native == std::endian::little) {
+      return ReadBytes(dst, count * sizeof(double));
+    } else {
+      for (size_t i = 0; i < count; ++i) {
+        if (!ReadF64(&dst[i])) return false;
+      }
+      return true;
     }
-    return true;
   }
 
  private:
@@ -108,6 +138,25 @@ class Cursor {
   size_t off_ = 0;
 };
 
+using CrcTables = std::array<std::array<uint32_t, 256>, 16>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
 Status Truncated() {
   return Status::InvalidArgument("snapshot: truncated container");
 }
@@ -115,19 +164,21 @@ Status Truncated() {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n) {
-  // IEEE 802.3 reflected polynomial, table computed once.
-  static const auto* table = [] {
-    auto* t = new std::array<uint32_t, 256>();
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      (*t)[i] = c;
-    }
-    return t;
-  }();
+  // Slice-by-16: kCrcTables[0] is the classic byte-at-a-time table of the
+  // IEEE 802.3 reflected polynomial, and kCrcTables[k] carries a byte's
+  // entry through k further zero bytes, so one step folds 16 input bytes
+  // with 16 independent lookups. Indexing by byte keeps it endian-independent.
+  const auto& t = kCrcTables;
   const auto* p = static_cast<const uint8_t*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) crc = (*table)[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  for (; n >= 16; n -= 16, p += 16) {
+    crc = t[15][(p[0] ^ crc) & 0xFF] ^ t[14][(p[1] ^ (crc >> 8)) & 0xFF] ^
+          t[13][(p[2] ^ (crc >> 16)) & 0xFF] ^ t[12][p[3] ^ (crc >> 24)] ^
+          t[11][p[4]] ^ t[10][p[5]] ^ t[9][p[6]] ^ t[8][p[7]] ^
+          t[7][p[8]] ^ t[6][p[9]] ^ t[5][p[10]] ^ t[4][p[11]] ^
+          t[3][p[12]] ^ t[2][p[13]] ^ t[1][p[14]] ^ t[0][p[15]];
+  }
+  for (; n > 0; --n, ++p) crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
@@ -145,27 +196,28 @@ Snapshot Snapshot::FromMatrix(const grid::ConsumptionMatrix& sanitized,
 std::vector<uint8_t> EncodeSnapshot(const Snapshot& snapshot) {
   const grid::Dims& dims = snapshot.sanitized.dims();
   const std::string& algo = snapshot.meta.algorithm;
-  std::vector<uint8_t> out;
-  out.reserve(64 + algo.size() +
-              16 * snapshot.sanitized.size() + 8 * snapshot.prefix.size());
-  PutBytes(out, kMagic.data(), kMagic.size());
-  PutU32(out, kSnapshotVersion);
-  PutI32(out, dims.cx);
-  PutI32(out, dims.cy);
-  PutI32(out, dims.ct);
-  PutU32(out, static_cast<uint32_t>(algo.size()));
-  PutBytes(out, algo.data(), algo.size());
-  PutF64(out, snapshot.meta.eps_total);
-  PutF64(out, snapshot.meta.eps_pattern);
-  PutF64(out, snapshot.meta.eps_sanitize);
-  PutF64(out, snapshot.meta.norm_min);
-  PutF64(out, snapshot.meta.norm_max);
-  PutI32(out, snapshot.meta.t_train);
-  PutU64(out, snapshot.sanitized.size());
-  for (double v : snapshot.sanitized.data()) PutF64(out, v);
-  PutU64(out, snapshot.prefix.size());
-  for (double v : snapshot.prefix) PutF64(out, v);
-  PutU32(out, Crc32(out.data(), out.size()));
+  const std::vector<double>& cells = snapshot.sanitized.data();
+  std::vector<uint8_t> out(kFixedBytes + algo.size() +
+                           sizeof(double) * (cells.size() + snapshot.prefix.size()));
+  Writer w(out.data());
+  w.Bytes(kMagic.data(), kMagic.size());
+  w.U32(kSnapshotVersion);
+  w.I32(dims.cx);
+  w.I32(dims.cy);
+  w.I32(dims.ct);
+  w.U32(static_cast<uint32_t>(algo.size()));
+  w.Bytes(algo.data(), algo.size());
+  w.F64(snapshot.meta.eps_total);
+  w.F64(snapshot.meta.eps_pattern);
+  w.F64(snapshot.meta.eps_sanitize);
+  w.F64(snapshot.meta.norm_min);
+  w.F64(snapshot.meta.norm_max);
+  w.I32(snapshot.meta.t_train);
+  w.U64(cells.size());
+  w.F64Array(cells);
+  w.U64(snapshot.prefix.size());
+  w.F64Array(snapshot.prefix);
+  w.U32(Crc32(out.data(), out.size() - 4));
   return out;
 }
 
@@ -273,20 +325,28 @@ Status WriteSnapshot(const Snapshot& snapshot, const std::string& path) {
 }
 
 StatusOr<Snapshot> ReadSnapshot(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  // Admin loads name the path over the wire, so nothing about it is
+  // trusted: O_NONBLOCK keeps a FIFO from blocking the event loop, and only
+  // a regular file's size is used to size the buffer (ext4 reports LONG_MAX
+  // as a directory's end offset).
+  const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  if (fd < 0) {
     return Status::NotFound("snapshot: cannot open '" + path + "'");
   }
-  std::fseek(f, 0, SEEK_END);
-  const long end = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (end < 0) {
-    std::fclose(f);
-    return Status::Internal("snapshot: cannot stat '" + path + "'");
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::InvalidArgument("snapshot: '" + path + "' is not a regular file");
   }
-  std::vector<uint8_t> bytes(static_cast<size_t>(end));
-  const size_t got = bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
+  std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
+  size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
   if (got != bytes.size()) {
     return Status::Internal("snapshot: short read from '" + path + "'");
   }

@@ -89,7 +89,9 @@ StatusOr<Snapshot> DecodeSnapshot(const uint8_t* data, size_t size);
 /// crashed writer never leaves a half-written snapshot at the final path).
 Status WriteSnapshot(const Snapshot& snapshot, const std::string& path);
 
-/// Reads and validates a container from `path`.
+/// Reads and validates a container from `path`. Anything but a regular
+/// file (a directory, a FIFO, a device) is rejected with InvalidArgument
+/// without blocking or trusting its reported size.
 StatusOr<Snapshot> ReadSnapshot(const std::string& path);
 
 }  // namespace stpt::serve

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include "common/rng.h"
@@ -6,6 +7,12 @@
 #include "gtest/gtest.h"
 
 namespace stpt::datagen {
+
+// Without this gtest prints a DatasetSpec parameter as a raw byte dump, and
+// the dump includes the heap address of `name`, so the listed test names (and
+// the ctest names discovered from them) changed from run to run.
+void PrintTo(const DatasetSpec& spec, std::ostream* os) { *os << spec.name; }
+
 namespace {
 
 GenerateOptions SmallOptions() {

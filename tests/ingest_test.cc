@@ -1057,6 +1057,13 @@ TEST_F(IngestLoopbackTest, HammerAcrossTenRepublishesZeroErrorsMonotoneEpoch) {
     last_epoch = ack->epoch;
   }
   EXPECT_GE(republishes, 10);
+  // The feeder can finish before a client thread has sent its first query;
+  // keep the clients querying until one of them has seen the final epoch.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (max_epoch.load() < last_epoch && errors.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   done.store(true);
   for (std::thread& t : clients) t.join();
 

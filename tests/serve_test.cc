@@ -2,14 +2,17 @@
 #include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,22 +76,82 @@ void Recrc(std::vector<uint8_t>& bytes) {
   bytes[bytes.size() - 1] = static_cast<uint8_t>(crc >> 24);
 }
 
+/// Bit-at-a-time CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF),
+/// one input byte per outer step: the reference for the sliced Crc32.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+/// Field-by-field little-endian encoder of the layout documented in
+/// serve/snapshot.h: the reference the bulk codec must match byte for byte.
+std::vector<uint8_t> ReferenceEncode(const Snapshot& snap) {
+  std::vector<uint8_t> out;
+  auto put_u32 = [&](uint32_t v) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  };
+  auto put_u64 = [&](uint64_t v) {
+    put_u32(static_cast<uint32_t>(v));
+    put_u32(static_cast<uint32_t>(v >> 32));
+  };
+  auto put_f64 = [&](double v) { put_u64(std::bit_cast<uint64_t>(v)); };
+  for (char c : {'S', 'T', 'P', 'T'}) out.push_back(static_cast<uint8_t>(c));
+  put_u32(kSnapshotVersion);
+  const grid::Dims& dims = snap.sanitized.dims();
+  put_u32(static_cast<uint32_t>(dims.cx));
+  put_u32(static_cast<uint32_t>(dims.cy));
+  put_u32(static_cast<uint32_t>(dims.ct));
+  put_u32(static_cast<uint32_t>(snap.meta.algorithm.size()));
+  for (char c : snap.meta.algorithm) out.push_back(static_cast<uint8_t>(c));
+  put_f64(snap.meta.eps_total);
+  put_f64(snap.meta.eps_pattern);
+  put_f64(snap.meta.eps_sanitize);
+  put_f64(snap.meta.norm_min);
+  put_f64(snap.meta.norm_max);
+  put_u32(static_cast<uint32_t>(snap.meta.t_train));
+  put_u64(snap.sanitized.size());
+  for (double v : snap.sanitized.data()) put_f64(v);
+  put_u64(snap.prefix.size());
+  for (double v : snap.prefix) put_f64(v);
+  put_u32(ReferenceCrc32(out.data(), out.size()));
+  return out;
+}
+
+/// Every field bit for bit, signed zeros and NaN payloads included.
+void ExpectSnapshotsBitIdentical(const Snapshot& got, const Snapshot& want) {
+  EXPECT_EQ(got.meta.algorithm, want.meta.algorithm);
+  EXPECT_EQ(got.meta.t_train, want.meta.t_train);
+  EXPECT_TRUE(BitIdentical(got.meta.eps_total, want.meta.eps_total));
+  EXPECT_TRUE(BitIdentical(got.meta.eps_pattern, want.meta.eps_pattern));
+  EXPECT_TRUE(BitIdentical(got.meta.eps_sanitize, want.meta.eps_sanitize));
+  EXPECT_TRUE(BitIdentical(got.meta.norm_min, want.meta.norm_min));
+  EXPECT_TRUE(BitIdentical(got.meta.norm_max, want.meta.norm_max));
+  EXPECT_EQ(got.sanitized.dims(), want.sanitized.dims());
+  ASSERT_EQ(got.sanitized.size(), want.sanitized.size());
+  EXPECT_EQ(0, std::memcmp(got.sanitized.data().data(), want.sanitized.data().data(),
+                           want.sanitized.size() * sizeof(double)));
+  ASSERT_EQ(got.prefix.size(), want.prefix.size());
+  EXPECT_EQ(0, std::memcmp(got.prefix.data(), want.prefix.data(),
+                           want.prefix.size() * sizeof(double)));
+}
+
 // --- Snapshot container ----------------------------------------------------
 
 TEST(SnapshotTest, EncodeDecodeBitIdentity) {
-  const Snapshot snap = MakeTestSnapshot();
-  const std::vector<uint8_t> bytes = EncodeSnapshot(snap);
-  auto decoded = DecodeSnapshot(bytes.data(), bytes.size());
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->meta, snap.meta);
-  EXPECT_EQ(decoded->sanitized.dims(), snap.sanitized.dims());
-  ASSERT_EQ(decoded->sanitized.size(), snap.sanitized.size());
-  EXPECT_EQ(0, std::memcmp(decoded->sanitized.data().data(),
-                           snap.sanitized.data().data(),
-                           snap.sanitized.size() * sizeof(double)));
-  ASSERT_EQ(decoded->prefix.size(), snap.prefix.size());
-  EXPECT_EQ(0, std::memcmp(decoded->prefix.data(), snap.prefix.data(),
-                           snap.prefix.size() * sizeof(double)));
+  // A small shape and the ingest publish shape (32x32 grid, 168-slice
+  // ring, 2.75 MB).
+  for (const grid::Dims dims : {grid::Dims{6, 5, 9}, grid::Dims{32, 32, 168}}) {
+    const Snapshot snap = MakeTestSnapshot(dims);
+    const std::vector<uint8_t> bytes = EncodeSnapshot(snap);
+    EXPECT_EQ(bytes, ReferenceEncode(snap));
+    auto decoded = DecodeSnapshot(bytes.data(), bytes.size());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ExpectSnapshotsBitIdentical(*decoded, snap);
+  }
 }
 
 TEST(SnapshotTest, FileRoundTripBitIdentity) {
@@ -97,12 +160,7 @@ TEST(SnapshotTest, FileRoundTripBitIdentity) {
   ASSERT_TRUE(WriteSnapshot(snap, path).ok());
   auto loaded = ReadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->meta, snap.meta);
-  EXPECT_EQ(0, std::memcmp(loaded->sanitized.data().data(),
-                           snap.sanitized.data().data(),
-                           snap.sanitized.size() * sizeof(double)));
-  EXPECT_EQ(0, std::memcmp(loaded->prefix.data(), snap.prefix.data(),
-                           snap.prefix.size() * sizeof(double)));
+  ExpectSnapshotsBitIdentical(*loaded, snap);
 }
 
 TEST(SnapshotTest, NormalizationExtremaRecorded) {
@@ -199,6 +257,73 @@ TEST(SnapshotTest, MissingFileIsNotFound) {
   auto loaded = ReadSnapshot(testing::TempDir() + "/does-not-exist.stpt");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+}
+
+TEST(SnapshotTest, NonRegularFilesRejectedWithoutBlocking) {
+  // Regression: ext4 reports a directory's end offset as LONG_MAX, and a
+  // read buffer sized from it terminated the server on an admin load.
+  auto dir = ReadSnapshot(testing::TempDir());
+  ASSERT_FALSE(dir.ok());
+  EXPECT_EQ(dir.status().code(), StatusCode::kInvalidArgument);
+  // A FIFO without a writer must not block the caller.
+  const std::string fifo = testing::TempDir() + "/snapshot.fifo";
+  ::unlink(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  auto pipe = ReadSnapshot(fifo);
+  ::unlink(fifo.c_str());
+  ASSERT_FALSE(pipe.ok());
+  EXPECT_EQ(pipe.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(Crc32Test, CheckValueEmptyInputAndEveryTailAndAlignment) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+  // Lengths 0-67 cover zero to four 16-byte steps plus every byte tail;
+  // start offsets 0-15 cover every alignment of the sliced body.
+  Rng rng(17);
+  std::vector<uint8_t> buf(15 + 67);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextUint64());
+  for (size_t start = 0; start < 16; ++start) {
+    for (size_t len = 0; len <= 67; ++len) {
+      EXPECT_EQ(Crc32(buf.data() + start, len), ReferenceCrc32(buf.data() + start, len))
+          << "start " << start << " length " << len;
+    }
+  }
+}
+
+TEST(SnapshotTest, SpecialDoublesEncodeLikeFieldByFieldReference) {
+  const double specials[] = {
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::bit_cast<double>(uint64_t{0xFFF800000BADF00D}),  // -NaN, payload
+      1.5,
+  };
+  constexpr size_t kSpecials = std::size(specials);
+  Snapshot snap;
+  snap.meta.algorithm = "hand-built";
+  snap.meta.eps_total = 30.0;
+  snap.meta.eps_pattern = -0.0;
+  snap.meta.eps_sanitize = std::numeric_limits<double>::denorm_min();
+  snap.meta.norm_min = -std::numeric_limits<double>::infinity();
+  snap.meta.norm_max = specials[4];
+  snap.meta.t_train = -3;
+  auto matrix = grid::ConsumptionMatrix::Create({2, 3, 4});
+  ASSERT_TRUE(matrix.ok());
+  snap.sanitized = std::move(*matrix);
+  std::vector<double>& cells = snap.sanitized.mutable_data();
+  snap.prefix.resize(cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    cells[i] = specials[i % kSpecials];
+    snap.prefix[i] = specials[(i + 3) % kSpecials];
+  }
+
+  const std::vector<uint8_t> bytes = EncodeSnapshot(snap);
+  EXPECT_EQ(bytes, ReferenceEncode(snap));
+  auto decoded = DecodeSnapshot(bytes.data(), bytes.size());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectSnapshotsBitIdentical(*decoded, snap);
 }
 
 // --- QueryServer -----------------------------------------------------------
@@ -1051,6 +1176,19 @@ TEST_F(LoopbackTest, AdminLifecycleOverTheWire) {
   EXPECT_TRUE(client->Query({{0, 1, 0, 1, 0, 1}}).ok());
 }
 
+TEST_F(LoopbackTest, AdminLoadOfDirectoryIsAnErrorAndServerKeepsServing) {
+  StartServer({6, 6, 6}, 65);
+  auto client = Client::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(client.ok());
+  auto loaded = client->Load("acme", "7", testing::TempDir());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("not a regular file"), std::string::npos)
+      << loaded.status().ToString();
+  auto answers = client->QueryTenant(kDefaultTenant, kDefaultTile, {{0, 2, 0, 2, 0, 2}});
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(answers->answers.size(), 1u);
+}
+
 TEST_F(LoopbackTest, HammerWhileSwappingZeroErrorsBitIdentical) {
   const grid::Dims dims{12, 12, 24};
   StartServer(dims, 63);
@@ -1265,6 +1403,17 @@ TEST(BackpressureTest, SlowReaderIsPausedAndEveryResponseStillArrives) {
   for (int i = 0; i < kRequests; ++i) {
     ASSERT_TRUE(WriteFrame(fd, MsgType::kMetricsRequest, {}).ok()) << i;
   }
+  // Stay a slow reader until the loop has paused the connection. Draining
+  // straight away let a client that kept pace with response generation
+  // finish without the budget ever being exceeded.
+  const auto metric = [&](const char* name) {
+    return PrometheusValue((*server)->metrics().ToPrometheusText(), name);
+  };
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (metric("stpt_serve_backpressure_pauses_total") < 1.0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   // Now drain: every single response must arrive, in order, well-formed.
   int got = 0;
   for (; got < kRequests; ++got) {
@@ -1275,11 +1424,16 @@ TEST(BackpressureTest, SlowReaderIsPausedAndEveryResponseStillArrives) {
   }
   EXPECT_EQ(got, kRequests);
 
-  const std::string text = (*server)->metrics().ToPrometheusText();
-  const double pauses = PrometheusValue(text, "stpt_serve_backpressure_pauses_total");
-  EXPECT_GE(pauses, 1.0);
-  const double paused_now = PrometheusValue(text, "stpt_serve_backpressure_paused");
-  EXPECT_EQ(paused_now, 0.0);  // fully drained -> nothing paused anymore
+  EXPECT_GE(metric("stpt_serve_backpressure_pauses_total"), 1.0);
+  // The last response can reach the client just before the loop thread
+  // updates the gauge after its final send.
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (metric("stpt_serve_backpressure_paused") != 0.0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // fully drained -> nothing paused anymore
+  EXPECT_EQ(metric("stpt_serve_backpressure_paused"), 0.0);
 
   ::close(fd);
   (*server)->Stop();

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Perf gate for the per-backend kernel rows of bench_micro.
+"""Perf gate for the kernel and container-codec rows of bench_micro.
 
 Compares a fresh BENCH_micro.json against the checked-in baseline and
 enforces two properties:
 
-  1. No kernel row (name starting with BM_Kernel) regresses more than
-     --tolerance (default 30%) in real_time against the same-named row of
-     the baseline. Hard failure on an AVX2-capable runner; downgraded to a
-     warning when the runner lacks AVX2 (the committed baseline is recorded
-     on an AVX2 machine, so absolute times are not comparable there).
+  1. No gated row regresses more than --tolerance (default 30%) in
+     real_time against the same-named row of the baseline. The gated rows
+     are the per-backend kernels (BM_Kernel*) and the .stpt codec
+     (BM_SnapshotEncode, BM_SnapshotDecode, BM_Crc32). Hard failure on an
+     AVX2-capable runner; downgraded to a warning when the runner lacks AVX2
+     (the committed baseline is recorded on an AVX2 machine, so absolute
+     times are not comparable there).
   2. Within the fresh run, the avx2 backend is at least --min-speedup
      (default 1.5x) faster than naive on the MatMul and PrefixSum kernel
      families. Skipped when the runner lacks AVX2.
@@ -25,7 +27,8 @@ import argparse
 import json
 import sys
 
-KERNEL_PREFIX = "BM_Kernel"
+GATED_PREFIXES = ("BM_Kernel", "BM_SnapshotEncode", "BM_SnapshotDecode",
+                  "BM_Crc32")
 SPEEDUP_FAMILIES = ("BM_KernelMatMul", "BM_KernelPrefixSum")
 
 
@@ -45,7 +48,7 @@ def main():
     ap.add_argument("--fresh", required=True, help="just-produced BENCH_micro.json")
     ap.add_argument("--baseline", required=True, help="checked-in BENCH_micro.json")
     ap.add_argument("--tolerance", type=float, default=0.30,
-                    help="max allowed fractional regression per kernel row")
+                    help="max allowed fractional regression per gated row")
     ap.add_argument("--min-speedup", type=float, default=1.5,
                     help="required naive/avx2 ratio for MatMul and PrefixSum")
     args = ap.parse_args()
@@ -59,11 +62,12 @@ def main():
     warnings = []
 
     # 1. Regression check, row by row.
-    kernel_rows = sorted(n for n in fresh if n.startswith(KERNEL_PREFIX))
-    if not kernel_rows:
-        failures.append("fresh run contains no BM_Kernel* rows "
-                        "(wrong --benchmark_filter?)")
-    for name in kernel_rows:
+    gated_rows = sorted(n for n in fresh if n.startswith(GATED_PREFIXES))
+    for prefix in GATED_PREFIXES:
+        if not any(n.startswith(prefix) for n in gated_rows):
+            failures.append(f"fresh run contains no {prefix}* rows "
+                            "(wrong --benchmark_filter?)")
+    for name in gated_rows:
         if name not in baseline:
             print(f"note: {name}: no baseline row (new benchmark), skipping")
             continue
@@ -77,7 +81,7 @@ def main():
         else:
             print(line)
     for name in sorted(baseline):
-        if name.startswith(KERNEL_PREFIX) and name not in fresh:
+        if name.startswith(GATED_PREFIXES) and name not in fresh:
             print(f"note: {name}: row retired (present only in baseline)")
 
     # 2. AVX2-vs-naive speedup inside the fresh run.
