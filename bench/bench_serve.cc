@@ -9,16 +9,16 @@
 // One server is started with a default shard plus --tenants tenant shards,
 // then three phases run against it:
 //
-//   single       v1 closed loop against the default shard: each client
-//                cycles a shared pool of `unique` random range queries
-//                `rounds` times in batches of `batch` (cache-hot after the
-//                first pass). Comparable to the historical single-snapshot
-//                number.
-//   multi_tenant v2 closed loop: every batch is addressed to a tenant drawn
+//   single       closed loop against the default shard (empty tenant and
+//                tile): each client cycles a shared pool of `unique` random
+//                range queries `rounds` times in batches of `batch`
+//                (cache-hot after the first pass). Comparable to the
+//                historical single-snapshot number.
+//   multi_tenant closed loop: every batch is addressed to a tenant drawn
 //                from a Zipf(s=--zipf) popularity distribution, so a few
 //                tenants are hot and the tail is cold — the shape real
 //                utility fleets have.
-//   open_loop    v2 open loop: batches are launched on a fixed arrival
+//   open_loop    open loop: batches are launched on a fixed arrival
 //                schedule targeting --open-rate queries/s for
 //                --open-seconds, Zipf-addressed as above. Reports achieved
 //                vs offered rate and RTT percentiles under that schedule.
@@ -158,9 +158,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // One registry serves every phase: the default shard answers the v1
+  // One registry serves every phase: the default shard answers the single
   // closed loop, and `tenants` extra shards (distinct data seeds, so their
-  // answers differ) take the Zipf-addressed v2 traffic.
+  // answers differ) take the Zipf-addressed traffic.
   const grid::Dims dims{grid, grid, slices};
   auto registry = serve::SnapshotRegistry::Create();
   if (!registry.ok()) {
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
   }
   const ZipfSampler zipf(num_tenants, zipf_s);
 
-  // --- Phase 1: v1 closed loop against the default shard. -----------------
+  // --- Phase 1: closed loop against the default shard. --------------------
   const int64_t queries_per_client = static_cast<int64_t>(unique) * rounds;
   PhaseResult single;
   {
@@ -230,9 +230,9 @@ int main(int argc, char** argv) {
           query::Workload batch(static_cast<size_t>(n));
           for (int i = 0; i < n; ++i) batch[i] = (*pool)[(cursor + i) % unique];
           const uint64_t t0 = exec::NowNanos();
-          auto answers = client->Query(batch);
+          auto answers = client->QueryTenant("", "", batch);
           const uint64_t t1 = exec::NowNanos();
-          if (!answers.ok() || answers->size() != batch.size()) {
+          if (!answers.ok() || answers->answers.size() != batch.size()) {
             ++failures[c];
             return;
           }
@@ -247,11 +247,12 @@ int main(int argc, char** argv) {
     single = Summarize(queries_per_client * num_clients, wall_s, rtts, failures);
   }
   serve::ServerStats default_stats;
-  if (auto gen = (*registry)->RouteDefault(); gen.ok()) {
+  if (auto gen = (*registry)->Route(serve::kDefaultTenant, serve::kDefaultTile);
+      gen.ok()) {
     default_stats = (*gen)->engine->stats();
   }
 
-  // --- Phase 2: v2 closed loop, Zipf-addressed tenants. -------------------
+  // --- Phase 2: closed loop, Zipf-addressed tenants. ----------------------
   PhaseResult multi;
   std::vector<int64_t> tenant_batches(static_cast<size_t>(num_tenants), 0);
   {
@@ -303,7 +304,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Phase 3: v2 open loop at a fixed offered rate. ---------------------
+  // --- Phase 3: open loop at a fixed offered rate. ------------------------
   // Each client launches batches on its own fixed schedule (offered load is
   // split evenly), so the arrival process does not slow down when the
   // server does — if a response is late the next send is already due and

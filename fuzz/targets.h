@@ -17,10 +17,10 @@ namespace stpt::fuzz {
 /// on every accepted input.
 int FuzzSnapshot(const uint8_t* data, size_t size);
 
-/// serve/wire.cc: the payload codecs (selector byte, including the v2
-/// codecs with their optional trailing trace field and the trace-fetch
-/// request) and ReadFrame over a socketpair, with canonical re-encode
-/// checks on accepted payloads.
+/// serve/wire.cc: the payload codecs (selector byte, including the
+/// addressed codecs with their optional trailing trace field and the
+/// trace-fetch request) and ReadFrame over a socketpair, with canonical
+/// re-encode checks on accepted payloads.
 int FuzzWire(const uint8_t* data, size_t size);
 
 /// io/csv.cc: ReadMatrixCsv and ReadDatasetCsv over the same untrusted

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/metrics.h"
+
 namespace stpt::dp {
 namespace {
 
@@ -25,31 +27,14 @@ std::string FormatDouble(double value) {
   return buf;
 }
 
-void AppendJsonEscaped(std::ostringstream& os, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
 std::string RecordJson(const AuditRecord& r) {
   std::ostringstream os;
-  os << "{\"seq\": " << r.seq << ", \"stage\": \"";
-  AppendJsonEscaped(os, r.stage);
-  os << "\", \"mechanism\": \"";
-  AppendJsonEscaped(os, r.mechanism);
-  os << "\", \"epsilon\": " << FormatDouble(r.epsilon)
+  os << "{\"seq\": " << r.seq << ", \"stage\": \"" << obs::JsonEscape(r.stage)
+     << "\", \"mechanism\": \"" << obs::JsonEscape(r.mechanism)
+     << "\", \"epsilon\": " << FormatDouble(r.epsilon)
      << ", \"sensitivity\": " << FormatDouble(r.sensitivity)
-     << ", \"composition\": \"";
-  AppendJsonEscaped(os, r.composition);
-  os << "\", \"consumed_after\": " << FormatDouble(r.consumed_after) << "}";
+     << ", \"composition\": \"" << obs::JsonEscape(r.composition)
+     << "\", \"consumed_after\": " << FormatDouble(r.consumed_after) << "}";
   return os.str();
 }
 

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "ingest/contribution_map.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "serve/snapshot.h"
@@ -60,25 +61,6 @@ std::string SafeName(const std::string& name) {
     std::snprintf(suffix, sizeof(suffix), "-%08llx",
                   static_cast<unsigned long long>(Fnv1a64(name) & 0xFFFFFFFFull));
     out += suffix;
-  }
-  return out;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += "\\u00";
-      constexpr const char* kHex = "0123456789abcdef";
-      out.push_back(kHex[(c >> 4) & 0xF]);
-      out.push_back(kHex[c & 0xF]);
-    } else {
-      out.push_back(c);
-    }
   }
   return out;
 }
@@ -355,12 +337,10 @@ serve::ReadingAck IngestPipeline::Apply(const serve::ReadingBatch& batch) {
     apply_ctx = ChildContext(*req_ctx, kStageApply);
     scoped.emplace(apply_ctx);
   }
-  const std::string tenant =
-      batch.tenant.empty() ? serve::kDefaultTenant : batch.tenant;
-  const std::string tile = batch.tile.empty() ? serve::kDefaultTile : batch.tile;
+  const serve::ShardKey key = serve::ResolveShardKey(batch.tenant, batch.tile);
   serve::ReadingAck ack;
   const bool flush = batch.readings.empty();
-  Shard* shard = FindShard(tenant, tile, /*create=*/!flush);
+  Shard* shard = FindShard(key.tenant, key.tile, /*create=*/!flush);
   if (shard == nullptr) {
     ack.rejected = batch.readings.size();
     rejected_ctr_->Increment(ack.rejected);
@@ -404,8 +384,8 @@ serve::ReadingAck IngestPipeline::Apply(const serve::ReadingBatch& batch) {
   ack.epoch = shard->epoch;
   if (traced) {
     RecordIngestSpan(apply_ctx, apply_parent, apply_start_ns, "ingest/apply",
-                     {{"tenant", tenant},
-                      {"tile", tile},
+                     {{"tenant", key.tenant},
+                      {"tile", key.tile},
                       {"accepted", std::to_string(ack.accepted)},
                       {"epoch", std::to_string(ack.epoch)}});
   }
@@ -822,8 +802,9 @@ std::string IngestPipeline::StatsJson() const {
     std::lock_guard<std::mutex> lock(shard->mu);
     if (!first) os << ", ";
     first = false;
-    os << "{\"tenant\": \"" << JsonEscape(shard->tenant) << "\", \"tile\": \""
-       << JsonEscape(shard->tile) << "\", \"epoch\": " << shard->epoch
+    os << "{\"tenant\": \"" << obs::JsonEscape(shard->tenant)
+       << "\", \"tile\": \"" << obs::JsonEscape(shard->tile)
+       << "\", \"epoch\": " << shard->epoch
        << ", \"accepted\": " << shard->accepted
        << ", \"clamped\": " << shard->clamped
        << ", \"rejected\": " << shard->rejected

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace stpt::obs {
@@ -16,20 +17,6 @@ std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
 // serialises concurrent Log calls so events never interleave mid-line.
 std::mutex g_sink_mu;
 std::FILE* g_file = nullptr;  // owned; JSONL when non-null
-
-void AppendJsonEscaped(std::ostringstream& os, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
 
 }  // namespace
 
@@ -92,17 +79,11 @@ void Log(LogLevel level, const char* component, const std::string& message,
   std::lock_guard<std::mutex> lock(g_sink_mu);
   if (g_file != nullptr) {
     os << "{\"ts_ns\": " << NowNanos() << ", \"level\": \"" << LogLevelName(level)
-       << "\", \"component\": \"";
-    AppendJsonEscaped(os, component);
-    os << "\", \"message\": \"";
-    AppendJsonEscaped(os, message);
-    os << "\"";
+       << "\", \"component\": \"" << JsonEscape(component)
+       << "\", \"message\": \"" << JsonEscape(message) << "\"";
     for (const LogField& field : fields) {
-      os << ", \"";
-      AppendJsonEscaped(os, field.first);
-      os << "\": \"";
-      AppendJsonEscaped(os, field.second);
-      os << "\"";
+      os << ", \"" << JsonEscape(field.first) << "\": \""
+         << JsonEscape(field.second) << "\"";
     }
     os << "}\n";
     const std::string line = os.str();

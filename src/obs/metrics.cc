@@ -65,6 +65,25 @@ std::string PromEscapeLabel(const std::string& value) {
   return out;
 }
 
+std::string JsonEscape(std::string_view text) {
+  constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      out += "\\u00";
+      out += kHex[c >> 4];
+      out += kHex[c & 0xF];
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 std::string FormatMetricValue(double v) { return FormatDouble(v); }
 
 /// The OpenMetrics exemplar suffix appended to a `_bucket` line (without the

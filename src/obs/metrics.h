@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace stpt::obs {
@@ -135,6 +136,13 @@ std::vector<double> ExponentialBuckets(double start, double factor, int count);
 /// with a runtime string must route it through here — tenant names are
 /// client-controlled.
 std::string PromEscapeLabel(const std::string& value);
+
+/// Escapes `text` for a JSON string literal: `"` → `\"`, `\` → `\\`, and
+/// every byte below 0x20 → lowercase `\u00xx`. Every other byte (0x7f and
+/// UTF-8 included) passes through unchanged. This is the one JSON escaper
+/// of the ledger, log, Chrome-export, trace-store, registry and ingest
+/// JSON; AuditLedger::ParseJsonl reads back exactly these escapes.
+std::string JsonEscape(std::string_view text);
 
 /// Shortest-clean metric value rendering shared by the exporters: integral
 /// values print without an exponent, everything else round-trips.

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/trace_context.h"
 
 namespace stpt::obs {
@@ -125,21 +126,6 @@ void PushEvent(ThreadState& state, char phase, const char* name, uint64_t ts_ns,
   state.events[state.head] = TraceEvent{name, ts_ns, value, phase};
   state.head = (state.head + 1) % state.events.size();
   if (state.count < state.events.size()) ++state.count;
-}
-
-void AppendJsonEscaped(std::ostringstream& os, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    const char c = *p;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
 }
 
 /// One thread's snapshot for export: events in chronological order.
@@ -280,9 +266,8 @@ std::string TraceProfileJson(size_t top_n) {
     if (!first) os << ", ";
     first = false;
     const uint64_t mean_ns = e.calls == 0 ? 0 : e.total_ns / e.calls;
-    os << "{\"region\": \"";
-    AppendJsonEscaped(os, e.region.c_str());
-    os << "\", \"calls\": " << e.calls << ", \"total_ns\": " << e.total_ns
+    os << "{\"region\": \"" << JsonEscape(e.region)
+       << "\", \"calls\": " << e.calls << ", \"total_ns\": " << e.total_ns
        << ", \"mean_ns\": " << mean_ns << "}";
   }
   os << "]";
@@ -372,7 +357,7 @@ std::string ExportChromeTrace() {
     if (snap.name.empty()) {
       os << "thread-" << snap.tid;
     } else {
-      AppendJsonEscaped(os, snap.name.c_str());
+      os << JsonEscape(snap.name);
     }
     os << "\"}}";
   }
@@ -385,9 +370,8 @@ std::string ExportChromeTrace() {
     if (!first) os << ",";
     first = false;
     os << "\n{\"ph\": \"" << e.phase << "\", \"pid\": 1, \"tid\": "
-       << snaps[f.snap].tid << ", \"ts\": " << ts_buf << ", \"name\": \"";
-    AppendJsonEscaped(os, e.name);
-    os << "\", \"cat\": \"stpt\"";
+       << snaps[f.snap].tid << ", \"ts\": " << ts_buf << ", \"name\": \""
+       << JsonEscape(e.name) << "\", \"cat\": \"stpt\"";
     if (e.phase == 'C') {
       char value_buf[64];
       // Non-finite samples would make the JSON unloadable.
@@ -416,9 +400,8 @@ std::string ExportChromeTrace() {
           "\"sampled requests\"}}";
     for (const auto& [lane, tid] : lane_tids) {
       os << ",\n{\"ph\": \"M\", \"pid\": " << kStorePid << ", \"tid\": " << tid
-         << ", \"name\": \"thread_name\", \"args\": {\"name\": \"";
-      AppendJsonEscaped(os, lane.c_str());
-      os << "\"}}";
+         << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
+         << JsonEscape(lane) << "\"}}";
     }
     std::map<std::pair<uint64_t, uint64_t>, size_t> spans_seen;
     for (const TraceSpan& s : stored) {
@@ -434,17 +417,12 @@ std::string ExportChromeTrace() {
       TraceContext id{s.trace_hi, s.trace_lo, 0, 0, false};
       os << ",\n{\"ph\": \"X\", \"pid\": " << kStorePid << ", \"tid\": " << tid
          << ", \"ts\": " << start_buf << ", \"dur\": " << dur_buf
-         << ", \"name\": \"";
-      AppendJsonEscaped(os, s.name.c_str());
-      os << "\", \"cat\": \"stpt.trace\", \"args\": {\"trace_id\": \""
+         << ", \"name\": \"" << JsonEscape(s.name)
+         << "\", \"cat\": \"stpt.trace\", \"args\": {\"trace_id\": \""
          << TraceIdHex(id) << "\", \"span_id\": \"" << SpanIdHex(s.span_id)
          << "\", \"parent_span_id\": \"" << SpanIdHex(s.parent_span_id) << "\"";
       for (const auto& [k, v] : s.attrs) {
-        os << ", \"";
-        AppendJsonEscaped(os, k.c_str());
-        os << "\": \"";
-        AppendJsonEscaped(os, v.c_str());
-        os << "\"";
+        os << ", \"" << JsonEscape(k) << "\": \"" << JsonEscape(v) << "\"";
       }
       os << "}}";
       // Flow: start on the trace's first stored span, step on every later

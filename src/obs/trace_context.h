@@ -26,7 +26,7 @@ namespace stpt::obs {
 /// trace id (TraceSampled) — every hop agrees on it without configuration.
 ///
 /// The context travels on the wire as an optional length-delimited trailing
-/// field of the v2 frames (see serve/wire.h §trace); absent means untraced,
+/// field of the addressed frames (see serve/wire.h); absent means untraced,
 /// so pre-trace peers and untraced requests keep their exact byte layout.
 struct TraceContext {
   uint64_t trace_hi = 0;  ///< high 64 bits of the 128-bit trace id

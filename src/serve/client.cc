@@ -70,18 +70,6 @@ StatusOr<Frame> Client::Call(MsgType request, const std::vector<uint8_t>& payloa
   return frame;
 }
 
-StatusOr<QueryResponse> Client::Query(const query::Workload& batch) {
-  auto frame = Call(MsgType::kQueryRequest, EncodeQueryRequest(batch),
-                    MsgType::kQueryResponse);
-  if (!frame.ok()) return frame.status();
-  auto answers = DecodeQueryResponse(frame->payload);
-  if (!answers.ok()) return answers.status();
-  if (answers->size() != batch.size()) {
-    return Status::Internal("client: answer count does not match batch");
-  }
-  return answers;
-}
-
 StatusOr<TenantQueryResponse> Client::QueryTenant(const std::string& tenant,
                                                   const std::string& tile,
                                                   const query::Workload& batch,
@@ -159,18 +147,17 @@ StatusOr<ReadingAck> Client::Ingest(const std::string& tenant,
 
 StatusOr<std::string> Client::ShardStats(const std::string& tenant,
                                          const std::string& tile) {
-  ShardStatsRequest request;
-  request.tenant = tenant;
-  request.tile = tile;
   auto frame = Call(MsgType::kShardStatsRequest,
-                    EncodeShardStatsRequest(request),
+                    EncodeShardStatsRequest({tenant, tile}),
                     MsgType::kShardStatsResponse);
   if (!frame.ok()) return frame.status();
   return DecodeString(frame->payload);
 }
 
-StatusOr<WireMeta> Client::Meta() {
-  auto frame = Call(MsgType::kMetaRequest, {}, MsgType::kMetaResponse);
+StatusOr<WireMeta> Client::Meta(const std::string& tenant,
+                                const std::string& tile) {
+  auto frame = Call(MsgType::kMetaRequest, EncodeShardStatsRequest({tenant, tile}),
+                    MsgType::kMetaResponse);
   if (!frame.ok()) return frame.status();
   return DecodeMetaResponse(frame->payload);
 }

@@ -26,15 +26,12 @@ class Client {
   Client& operator=(const Client&) = delete;
   ~Client();
 
-  /// Answers for each query, index-aligned with the batch. A server-side
-  /// validation failure surfaces as the server's error Status. Routed to
-  /// the server's default shard (v1 frame).
-  StatusOr<QueryResponse> Query(const query::Workload& batch);
-
-  /// Tenant-addressed query (v2 frame). Empty tenant/tile address the
-  /// default shard; epoch 0 accepts the current generation, a nonzero
-  /// epoch fails with the server's NotFound if that generation was swapped
-  /// out. The response carries the epoch that answered. A valid `trace`
+  /// Answers for each query of `batch`, index-aligned, from the addressed
+  /// shard (kQueryRequestV2). Empty tenant/tile address the default shard;
+  /// a server-side validation failure surfaces as the server's error
+  /// Status. Epoch 0 accepts the current generation, a nonzero epoch fails
+  /// with the server's NotFound if that generation was swapped out. The
+  /// response carries the epoch that answered. A valid `trace`
   /// context rides the frame (start_ns stamped at send if unset) and is
   /// echoed in the response; a default-constructed one leaves the frame
   /// byte-identical to the pre-trace protocol.
@@ -75,8 +72,11 @@ class Client {
   StatusOr<std::string> ShardStats(const std::string& tenant = "",
                                    const std::string& tile = "");
 
-  /// Server dims + snapshot metadata.
-  StatusOr<WireMeta> Meta();
+  /// Dims + snapshot metadata of the addressed shard. Empty tenant/tile
+  /// address the default shard; a shard that is not loaded fails with the
+  /// server's NotFound.
+  StatusOr<WireMeta> Meta(const std::string& tenant = "",
+                          const std::string& tile = "");
 
   /// Serving-counter JSON (ServerStats::ToJson).
   StatusOr<std::string> Stats();

@@ -386,22 +386,6 @@ void EventLoopServer::ParseFrames(Conn& conn) {
 
 bool EventLoopServer::HandleFrame(Conn& conn, Frame frame) {
   switch (frame.type) {
-    case MsgType::kQueryRequest: {
-      auto batch = DecodeQueryRequest(frame.payload);
-      if (!batch.ok()) {
-        protocol_errors_ctr_->Increment();
-        EnqueueError(conn, batch.status(), /*close_after=*/true);
-        return false;
-      }
-      auto gen = registry_->RouteDefault();
-      if (!gen.ok()) {
-        EnqueueError(conn, gen.status(), /*close_after=*/false);
-        return true;
-      }
-      DispatchQuery(conn, std::move(*gen), std::move(*batch), /*v2=*/false,
-                    obs::TraceContext{});
-      return false;
-    }
     case MsgType::kQueryRequestV2: {
       const uint64_t parse_start_ns = obs::NowNanos();
       auto request = DecodeTenantQueryRequest(frame.payload);
@@ -411,15 +395,13 @@ bool EventLoopServer::HandleFrame(Conn& conn, Frame frame) {
         return false;
       }
       RecordRequestSpans(conn, request->trace, parse_start_ns, obs::NowNanos());
-      const std::string tenant =
-          request->tenant.empty() ? kDefaultTenant : request->tenant;
-      const std::string tile = request->tile.empty() ? kDefaultTile : request->tile;
-      auto gen = registry_->Route(tenant, tile, request->epoch);
+      const ShardKey key = ResolveShardKey(request->tenant, request->tile);
+      auto gen = registry_->Route(key.tenant, key.tile, request->epoch);
       if (!gen.ok()) {
         EnqueueError(conn, gen.status(), /*close_after=*/false);
         return true;
       }
-      DispatchQuery(conn, std::move(*gen), std::move(request->batch), /*v2=*/true,
+      DispatchQuery(conn, std::move(*gen), std::move(request->batch),
                     request->trace);
       return false;
     }
@@ -439,7 +421,14 @@ bool EventLoopServer::HandleFrame(Conn& conn, Frame frame) {
       return true;
     }
     case MsgType::kMetaRequest: {
-      auto gen = registry_->RouteDefault();
+      auto request = DecodeShardStatsRequest(frame.payload);
+      if (!request.ok()) {
+        protocol_errors_ctr_->Increment();
+        EnqueueError(conn, request.status(), /*close_after=*/true);
+        return false;
+      }
+      const ShardKey key = ResolveShardKey(request->tenant, request->tile);
+      auto gen = registry_->Route(key.tenant, key.tile);
       if (!gen.ok()) {
         EnqueueError(conn, gen.status(), /*close_after=*/false);
         return true;
@@ -498,18 +487,42 @@ bool EventLoopServer::HandleFrame(Conn& conn, Frame frame) {
   }
 }
 
-void EventLoopServer::DispatchQuery(Conn& conn,
-                                    std::shared_ptr<const ShardGeneration> gen,
-                                    query::Workload batch, bool v2,
-                                    const obs::TraceContext& trace) {
+void EventLoopServer::Dispatch(Conn& conn, std::function<Completion()> work) {
+  // One dispatched request per connection: responses stay in request order
+  // and a firehose client is paced by its own responses, while the global
+  // inflight cap keeps queries and ingest jointly bounded.
   conn.busy = true;
   dispatches_ctr_->Increment();
   inflight_gauge_->Set(static_cast<double>(
       inflight_.fetch_add(1, std::memory_order_acq_rel) + 1));
+  if (exec::Threads() <= 1) {
+    // Serial runtime: no pool exists; answer inline. The loop drains the
+    // completion queue at the bottom of this iteration, so no wake is due.
+    PushCompletion(work());
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(tasks_mu_);
+    ++tasks_running_;
+  }
+  exec::GlobalPool().Submit([this, work = std::move(work)] {
+    PushCompletion(work());
+    const uint64_t one = 1;
+    (void)!::write(wake_fd_, &one, sizeof(one));
+    // The task's last touch of the server: once the count reaches zero,
+    // Stop() may close wake_fd_ and its caller may destroy the server.
+    std::lock_guard<std::mutex> lock(tasks_mu_);
+    if (--tasks_running_ == 0) tasks_cv_.notify_all();
+  });
+}
+
+void EventLoopServer::DispatchQuery(Conn& conn,
+                                    std::shared_ptr<const ShardGeneration> gen,
+                                    query::Workload batch,
+                                    const obs::TraceContext& trace) {
   const uint64_t dispatch_ns = obs::NowNanos();
-  auto task = [this, id = conn.id, gen = std::move(gen),
-               batch = std::move(batch), v2, trace, dispatch_ns,
-               recv_ns = conn.last_read_ns] {
+  Dispatch(conn, [id = conn.id, gen = std::move(gen), batch = std::move(batch),
+                  trace, dispatch_ns, recv_ns = conn.last_read_ns] {
     const uint64_t exec_start_ns = obs::NowNanos();
     Completion comp;
     comp.conn_id = id;
@@ -528,20 +541,17 @@ void EventLoopServer::DispatchQuery(Conn& conn,
     }();
     if (!answers.ok()) {
       // Per-query validation failure: report it but keep the connection —
-      // the client's next batch may be fine (v1 semantics preserved).
+      // the client's next batch may be fine.
       comp.type = MsgType::kError;
       comp.error = true;
       comp.payload = EncodeString(answers.status().ToString());
-    } else if (v2) {
+    } else {
       TenantQueryResponse response;
       response.epoch = gen->epoch;
       response.answers = std::move(*answers);
       response.trace = trace;  // echo so the client can match its context
       comp.type = MsgType::kQueryResponseV2;
       comp.payload = EncodeTenantQueryResponse(response);
-    } else {
-      comp.type = MsgType::kQueryResponse;
-      comp.payload = EncodeQueryResponse(*answers);
     }
     if (trace.sampled) {
       RecordSpan(trace, obs::ChildSpanId(trace.span_id, kStageDispatchWait),
@@ -554,44 +564,31 @@ void EventLoopServer::DispatchQuery(Conn& conn,
                   {"tile", gen->key.tile},
                   {"epoch", std::to_string(gen->epoch)}});
     }
-    PushCompletion(std::move(comp));
-  };
-  if (exec::Threads() > 1) {
-    exec::GlobalPool().Submit(std::move(task));
-  } else {
-    // Serial runtime: no pool exists; answer inline. The completion is
-    // picked up in the same loop iteration.
-    task();
-  }
+    return comp;
+  });
 }
 
 void EventLoopServer::DispatchIngest(Conn& conn, ReadingBatch batch) {
-  // Same one-in-flight-per-connection discipline as queries: acks stay in
-  // request order and a firehose feeder is paced by its own acks while the
-  // global inflight cap keeps ingest and queries jointly bounded.
-  conn.busy = true;
-  dispatches_ctr_->Increment();
-  inflight_gauge_->Set(static_cast<double>(
-      inflight_.fetch_add(1, std::memory_order_acq_rel) + 1));
   const uint64_t dispatch_ns = obs::NowNanos();
-  auto task = [this, id = conn.id, batch = std::move(batch), dispatch_ns,
-               recv_ns = conn.last_read_ns] {
+  Dispatch(conn, [sink = ingest_, id = conn.id, batch = std::move(batch),
+                  dispatch_ns, recv_ns = conn.last_read_ns] {
     const uint64_t exec_start_ns = obs::NowNanos();
     Completion comp;
     comp.conn_id = id;
-    comp.tenant = batch.tenant.empty() ? kDefaultTenant : batch.tenant;
-    comp.tile = batch.tile.empty() ? kDefaultTile : batch.tile;
+    ShardKey key = ResolveShardKey(batch.tenant, batch.tile);
+    comp.tenant = std::move(key.tenant);
+    comp.tile = std::move(key.tile);
     comp.req_recv_ns = recv_ns;
     comp.trace = batch.trace;
     ReadingAck ack = [&] {
-      if (!batch.trace.sampled) return ingest_->Apply(batch);
+      if (!batch.trace.sampled) return sink->Apply(batch);
       // The pipeline records ingest/apply + ingest/publish spans (and the
       // registry its swap span) against the active context, chaining the
       // batch to the epoch it publishes.
       obs::TraceContext exec_ctx = batch.trace;
       exec_ctx.span_id = obs::ChildSpanId(batch.trace.span_id, kStageExec);
       obs::ScopedTraceContext scoped(exec_ctx);
-      return ingest_->Apply(batch);
+      return sink->Apply(batch);
     }();
     comp.error = ack.rejected > 0 && ack.accepted == 0 && ack.clamped == 0;
     ack.trace = batch.trace;  // echo
@@ -609,13 +606,8 @@ void EventLoopServer::DispatchIngest(Conn& conn, ReadingBatch batch) {
                   {"tile", comp.tile},
                   {"epoch", std::to_string(ack.epoch)}});
     }
-    PushCompletion(std::move(comp));
-  };
-  if (exec::Threads() > 1) {
-    exec::GlobalPool().Submit(std::move(task));
-  } else {
-    task();
-  }
+    return comp;
+  });
 }
 
 void EventLoopServer::HandleAdmin(Conn& conn,
@@ -691,11 +683,11 @@ void EventLoopServer::RecordRequestSpans(const Conn& conn,
 }
 
 std::string EventLoopServer::MetricsText() const {
-  // Default shard first (v1-compatible unlabeled stpt_serve_* families),
+  // Default shard first (its engine's unlabeled stpt_serve_* families),
   // then this server's loop metrics, the registry's admin + labeled
   // per-shard families, and the process-wide registry.
   std::string text;
-  auto def = registry_->RouteDefault();
+  auto def = registry_->Route(kDefaultTenant, kDefaultTile);
   if (def.ok()) text += (*def)->engine->metrics().ToPrometheusText();
   text += registry_metrics_.ToPrometheusText();
   text += red_.ToPrometheusText();
@@ -706,16 +698,19 @@ std::string EventLoopServer::MetricsText() const {
 }
 
 std::string EventLoopServer::StatsText() const {
-  auto def = registry_->RouteDefault();
-  if (!def.ok()) return registry_->StatsJson();
-  // v1 shape (engine counters) with the trace-region profile and the
-  // registry topology spliced in.
-  std::string stats_json = (*def)->engine->stats().ToJson();
-  std::string splice = ", \"top_regions\": " + obs::TraceProfileJson(10) +
-                       ", \"registry\": " + registry_->StatsJson();
-  if (ingest_ != nullptr) splice += ", \"ingest\": " + ingest_->StatsJson();
-  stats_json.insert(stats_json.size() - 1, splice);
-  return stats_json;
+  // The default shard's engine counters lead when that shard is loaded; the
+  // trace-region profile, the registry topology and the ingest state of
+  // every shard are always there.
+  std::string json = "{";
+  if (auto def = registry_->Route(kDefaultTenant, kDefaultTile); def.ok()) {
+    json = (*def)->engine->stats().ToJson();
+    json.back() = ',';
+    json += ' ';
+  }
+  json += "\"top_regions\": " + obs::TraceProfileJson(10) +
+          ", \"registry\": " + registry_->StatsJson();
+  if (ingest_ != nullptr) json += ", \"ingest\": " + ingest_->StatsJson();
+  return json + "}";
 }
 
 void EventLoopServer::EnqueueFrame(Conn& conn, MsgType type,
@@ -889,17 +884,8 @@ void EventLoopServer::ResumeDeferred() {
 }
 
 void EventLoopServer::PushCompletion(Completion completion) {
-  {
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    completions_.push_back(std::move(completion));
-  }
-  // The loop drains the queue at the bottom of every iteration, so a
-  // completion produced on the loop thread itself (serial inline dispatch)
-  // is already guaranteed to be seen — the wake syscall is only for pool
-  // workers that must interrupt a blocking epoll_wait.
-  if (std::this_thread::get_id() == loop_thread_.get_id()) return;
-  const uint64_t one = 1;
-  (void)!::write(wake_fd_, &one, sizeof(one));
+  std::lock_guard<std::mutex> lock(completions_mu_);
+  completions_.push_back(std::move(completion));
 }
 
 void EventLoopServer::RequestStop() {
@@ -961,6 +947,12 @@ void EventLoopServer::Stop() {
   }
   RequestStop();
   if (loop_thread_.joinable()) loop_thread_.join();
+  // A drain that timed out leaves dispatched tasks running, and each one
+  // still writes wake_fd_ when it finishes: wait for them before closing.
+  {
+    std::unique_lock<std::mutex> lock(tasks_mu_);
+    tasks_cv_.wait(lock, [this] { return tasks_running_ == 0; });
+  }
   CloseQuietly(listen_fd_);
   CloseQuietly(epoll_fd_);
   CloseQuietly(wake_fd_);

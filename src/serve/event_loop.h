@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -40,9 +41,10 @@ struct EventLoopOptions {
   /// user-space write budget engages — useful for tests and for keeping
   /// slow readers' memory on a leash.
   int so_sndbuf = 0;
-  /// Shutdown drain budget: in-flight batches finish and their responses
-  /// flush within this window; connections still pending afterwards are
-  /// force-closed so Stop() always terminates.
+  /// Shutdown drain budget: how long clients get to read the responses of
+  /// in-flight batches before their connections are force-closed. It does
+  /// not bound how long a running batch may take: Stop() still waits for
+  /// every dispatched task to return.
   int drain_timeout_ms = 5000;
   /// Period of the ingest publish timer (0 = no timer). When set and an
   /// ingest sink is attached, a timerfd fires every interval and drives
@@ -99,8 +101,9 @@ class IngestSink {
 /// Shutdown (Stop() or a client kShutdown frame) drains: accepting and
 /// reading cease immediately, in-flight batches complete, their responses
 /// are flushed, and only then are connections closed — bounded by
-/// drain_timeout_ms. After Stop() returns, every fd the server opened
-/// (listener, epoll, eventfd, connections) is closed;
+/// drain_timeout_ms. After Stop() returns, no dispatched task is still
+/// running, even one that outlived the drain, and every fd the server
+/// opened (listener, epoll, eventfd, connections) is closed;
 /// open_connections() reads 0.
 class EventLoopServer {
  public:
@@ -125,8 +128,9 @@ class EventLoopServer {
   /// Blocks until Stop() is called or a client sends kShutdown.
   void Wait();
 
-  /// Requests shutdown, drains, joins the loop thread, closes every fd.
-  /// Idempotent; safe to call while Wait() blocks elsewhere.
+  /// Requests shutdown, drains, joins the loop thread, waits for every
+  /// dispatched task to return, closes every fd. Idempotent; safe to call
+  /// while Wait() blocks elsewhere.
   void Stop();
 
   /// Total connections accepted since Start().
@@ -175,9 +179,11 @@ class EventLoopServer {
   /// Handles one frame; returns false when parsing must stop (a query was
   /// dispatched or the connection is winding down).
   bool HandleFrame(Conn& conn, Frame frame);
+  /// Marks `conn` busy and runs `work` on the exec pool (inline in the
+  /// serial runtime); its completion is written back by the loop thread.
+  void Dispatch(Conn& conn, std::function<Completion()> work);
   void DispatchQuery(Conn& conn, std::shared_ptr<const ShardGeneration> gen,
-                     query::Workload batch, bool v2,
-                     const obs::TraceContext& trace);
+                     query::Workload batch, const obs::TraceContext& trace);
   void DispatchIngest(Conn& conn, ReadingBatch batch);
   /// Records the loop-side lifecycle spans of a sampled request: the
   /// client's send span (carried start_ns → socket read), the queue wait
@@ -231,6 +237,11 @@ class EventLoopServer {
 
   mutable std::mutex completions_mu_;
   std::vector<Completion> completions_;
+
+  /// Pool tasks dispatched and not yet returned; Stop() waits for zero.
+  std::mutex tasks_mu_;
+  std::condition_variable tasks_cv_;
+  int tasks_running_ = 0;
 
   std::mutex mu_;
   std::condition_variable stop_cv_;

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 
@@ -50,25 +51,6 @@ Status ValidateName(const char* what, const std::string& name) {
 Status ValidateKey(const ShardKey& key) {
   STPT_RETURN_IF_ERROR(ValidateName("tenant", key.tenant));
   return ValidateName("tile", key.tile);
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += "\\u00";
-      constexpr const char* kHex = "0123456789abcdef";
-      out.push_back(kHex[(c >> 4) & 0xF]);
-      out.push_back(kHex[c & 0xF]);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 /// Records the registry half of a traced admin chain (load or swap) when the
@@ -291,11 +273,12 @@ std::string SnapshotRegistry::StatsJson(const std::string& tenant,
     if (!tile.empty() && info.key.tile != tile) continue;
     if (!first) os << ", ";
     first = false;
-    os << "{\"tenant\": \"" << JsonEscape(info.key.tenant) << "\", \"tile\": \""
-       << JsonEscape(info.key.tile) << "\", \"epoch\": " << info.epoch
+    os << "{\"tenant\": \"" << obs::JsonEscape(info.key.tenant)
+       << "\", \"tile\": \"" << obs::JsonEscape(info.key.tile)
+       << "\", \"epoch\": " << info.epoch
        << ", \"dims\": [" << info.dims.cx << ", " << info.dims.cy << ", "
        << info.dims.ct << "], \"algorithm\": \""
-       << JsonEscape(info.meta.algorithm)
+       << obs::JsonEscape(info.meta.algorithm)
        << "\", \"eps_total\": " << info.meta.eps_total
        << ", \"stats\": " << info.stats.ToJson() << "}";
   }

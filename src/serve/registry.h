@@ -17,8 +17,7 @@
 
 namespace stpt::serve {
 
-/// Tenant/tile names a v1 client is routed to when it speaks the
-/// unaddressed protocol against a multi-tenant server.
+/// The shard a request addresses when it leaves its tenant or tile empty.
 inline constexpr const char* kDefaultTenant = "default";
 inline constexpr const char* kDefaultTile = "0";
 
@@ -40,6 +39,15 @@ struct ShardKey {
 struct ShardKeyHash {
   size_t operator()(const ShardKey& k) const;
 };
+
+/// The shard a request names: an empty tenant or tile means kDefaultTenant
+/// or kDefaultTile. The query, meta and ingest paths all resolve their
+/// wire address through here.
+inline ShardKey ResolveShardKey(const std::string& tenant,
+                                const std::string& tile) {
+  return {tenant.empty() ? kDefaultTenant : tenant,
+          tile.empty() ? kDefaultTile : tile};
+}
 
 /// One immutable published generation of a shard. Queries capture a
 /// shared_ptr to a generation once per batch, so a concurrent hot-swap can
@@ -123,11 +131,6 @@ class SnapshotRegistry {
   StatusOr<std::shared_ptr<const ShardGeneration>> Route(
       const std::string& tenant, const std::string& tile,
       uint64_t epoch = 0) const;
-
-  /// Shorthand for the v1 protocol's implicit addressing.
-  StatusOr<std::shared_ptr<const ShardGeneration>> RouteDefault() const {
-    return Route(kDefaultTenant, kDefaultTile, 0);
-  }
 
   /// All loaded shards, sorted by (tenant, tile), with live counters.
   std::vector<ShardInfo> List() const;

@@ -85,6 +85,13 @@ Status Malformed(const char* what) {
   return Status::InvalidArgument(std::string("wire: malformed ") + what);
 }
 
+/// The one frame-type check behind FrameDecoder::Next and ReadFrame. The
+/// reserved types 1 and 2 fail it like any other unknown type.
+bool KnownFrameType(uint8_t type) {
+  return type >= static_cast<uint8_t>(MsgType::kStatsRequest) &&
+         type <= static_cast<uint8_t>(MsgType::kTraceResponse);
+}
+
 /// Loops a full read over partial recv()s. Returns the number of bytes
 /// read: n on success, 0 on clean close before the first byte, and -1 on
 /// error or mid-buffer close.
@@ -116,60 +123,6 @@ Status WriteFully(int fd, const uint8_t* src, size_t n) {
 }
 
 }  // namespace
-
-std::vector<uint8_t> EncodeQueryRequest(const query::Workload& batch) {
-  std::vector<uint8_t> out;
-  out.reserve(4 + batch.size() * 24);
-  PutU32(out, static_cast<uint32_t>(batch.size()));
-  for (const query::RangeQuery& q : batch) {
-    PutI32(out, q.x0);
-    PutI32(out, q.x1);
-    PutI32(out, q.y0);
-    PutI32(out, q.y1);
-    PutI32(out, q.t0);
-    PutI32(out, q.t1);
-  }
-  return out;
-}
-
-StatusOr<query::Workload> DecodeQueryRequest(const std::vector<uint8_t>& payload) {
-  Cursor cur(payload);
-  uint32_t count = 0;
-  if (!cur.ReadU32(&count)) return Malformed("query request header");
-  if (static_cast<size_t>(count) * 24 != cur.remaining()) {
-    return Malformed("query request length");
-  }
-  query::Workload batch(count);
-  for (query::RangeQuery& q : batch) {
-    if (!cur.ReadI32(&q.x0) || !cur.ReadI32(&q.x1) || !cur.ReadI32(&q.y0) ||
-        !cur.ReadI32(&q.y1) || !cur.ReadI32(&q.t0) || !cur.ReadI32(&q.t1)) {
-      return Malformed("query request body");
-    }
-  }
-  return batch;
-}
-
-std::vector<uint8_t> EncodeQueryResponse(const std::vector<double>& answers) {
-  std::vector<uint8_t> out;
-  out.reserve(4 + answers.size() * 8);
-  PutU32(out, static_cast<uint32_t>(answers.size()));
-  for (double a : answers) PutF64(out, a);
-  return out;
-}
-
-StatusOr<std::vector<double>> DecodeQueryResponse(const std::vector<uint8_t>& payload) {
-  Cursor cur(payload);
-  uint32_t count = 0;
-  if (!cur.ReadU32(&count)) return Malformed("query response header");
-  if (static_cast<size_t>(count) * 8 != cur.remaining()) {
-    return Malformed("query response length");
-  }
-  std::vector<double> answers(count);
-  for (double& a : answers) {
-    if (!cur.ReadF64(&a)) return Malformed("query response body");
-  }
-  return answers;
-}
 
 std::vector<uint8_t> EncodeString(const std::string& text) {
   std::vector<uint8_t> out;
@@ -230,8 +183,9 @@ StatusOr<WireMeta> DecodeMetaResponse(const std::vector<uint8_t>& payload) {
 
 namespace {
 
-// Shared helpers for the v2 codecs: length-prefixed strings with a hard
-// cap, so hostile frames cannot smuggle oversized names into the registry.
+// Shared helpers for the addressed codecs: length-prefixed strings with a
+// hard cap, so hostile frames cannot smuggle oversized names into the
+// registry.
 void PutString(std::vector<uint8_t>& out, const std::string& text) {
   PutU32(out, static_cast<uint32_t>(text.size()));
   PutBytes(out, text.data(), text.size());
@@ -600,8 +554,7 @@ StatusOr<bool> FrameDecoder::Next(Frame* out) {
   }
   if (buffered() < 4 + static_cast<size_t>(length)) return false;
   const uint8_t type = p[4];
-  if (type < static_cast<uint8_t>(MsgType::kQueryRequest) ||
-      type > static_cast<uint8_t>(MsgType::kTraceResponse)) {
+  if (!KnownFrameType(type)) {
     poisoned_ = true;
     return Malformed("frame type value");
   }
@@ -636,10 +589,7 @@ StatusOr<Frame> ReadFrame(int fd) {
   if (length < 1 || length > kMaxFrameBytes) return Malformed("frame length");
   uint8_t type = 0;
   if (ReadFully(fd, &type, 1) != 1) return Malformed("frame type");
-  if (type < static_cast<uint8_t>(MsgType::kQueryRequest) ||
-      type > static_cast<uint8_t>(MsgType::kTraceResponse)) {
-    return Malformed("frame type value");
-  }
+  if (!KnownFrameType(type)) return Malformed("frame type value");
   Frame frame;
   frame.type = static_cast<MsgType>(type);
   frame.payload.resize(length - 1);

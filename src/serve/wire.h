@@ -21,27 +21,25 @@ namespace stpt::serve {
 ///   u8      message type (MsgType)
 ///   ...     payload (message-specific, little-endian fixed width)
 ///
-/// v1 payloads (unaddressed; a v2 server routes them to the default
-/// tenant/tile, so v1 clients keep working unchanged):
-///   kQueryRequest   u32 count, then count x 6 i32 (x0 x1 y0 y1 t0 t1)
-///   kQueryResponse  u32 count, then count x f64 answers (index-aligned)
-///   kStatsRequest   empty
-///   kStatsResponse  u32 length + UTF-8 JSON (ServerStats::ToJson)
-///   kMetaRequest    empty
-///   kMetaResponse   i32 cx cy ct, u32 algo length + bytes, f64 eps_total,
-///                   eps_pattern, eps_sanitize, norm_min, norm_max, i32 t_train
-///   kError          u32 length + UTF-8 message
-///   kShutdown       empty (server acks with an empty kShutdown, then stops)
-///   kMetricsRequest empty
-///   kMetricsResponse u32 length + UTF-8 Prometheus text exposition
-///                   (engine registry followed by the process-wide registry)
-///
-/// v2 payloads (tenant-addressed; `str` below is u32 length + bytes, names
-/// capped at kMaxShardNameBytes, paths at kMaxPathBytes):
-///   kQueryRequestV2   str tenant, str tile, u64 epoch (0 = current), then a
-///                     v1 query body (u32 count + count x 6 i32). Empty
-///                     tenant/tile address the default shard.
+/// Payloads (`str` below is u32 length + bytes, names capped at
+/// kMaxWireNameBytes, paths at kMaxWirePathBytes). Types 1 and 2 are
+/// reserved; readers reject them like any unknown type. An empty tenant or
+/// tile addresses the default shard (ResolveShardKey in serve/registry.h).
+///   kStatsRequest     empty
+///   kStatsResponse    u32 length + UTF-8 JSON (server stats)
+///   kMetaRequest      str tenant, str tile (the kShardStatsRequest payload)
+///   kMetaResponse     i32 cx cy ct, u32 algo length + bytes, f64 eps_total,
+///                     eps_pattern, eps_sanitize, norm_min, norm_max,
+///                     i32 t_train — of the addressed shard
+///   kError            u32 length + UTF-8 message
+///   kShutdown         empty (server acks with an empty kShutdown, then stops)
+///   kMetricsRequest   empty
+///   kMetricsResponse  u32 length + UTF-8 Prometheus text exposition
+///                     (engine registry followed by the process-wide registry)
+///   kQueryRequestV2   str tenant, str tile, u64 epoch (0 = current), u32
+///                     count, then count x 6 i32 (x0 x1 y0 y1 t0 t1)
 ///   kQueryResponseV2  u64 epoch that answered, u32 count, count x f64
+///                     answers (index-aligned)
 ///   kAdminRequest     u8 verb (AdminVerb), str tenant, str tile, str path
 ///                     (snapshot container path for load/swap; must be empty
 ///                     for unload)
@@ -63,11 +61,12 @@ namespace stpt::serve {
 ///                     (32 hex chars, empty = all traces)
 ///   kTraceResponse    str JSON (obs::TraceStore::ToJson)
 ///
-/// Trace context (`trace` below): every v2 request frame (kQueryRequestV2,
-/// kAdminRequest, kReadingBatch) and its response (kQueryResponseV2,
-/// kAdminResponse, kReadingAck) may end with ONE optional trailing
-/// length-delimited trace-context field (see obs/trace_context.h for the
-/// exact layout: u8 len, u8 flags, u64 trace_hi/trace_lo/span_id/start_ns).
+/// Trace context (`trace` below): every addressed request frame
+/// (kQueryRequestV2, kAdminRequest, kReadingBatch) and its response
+/// (kQueryResponseV2, kAdminResponse, kReadingAck) may end with ONE optional
+/// trailing length-delimited trace-context field (see obs/trace_context.h
+/// for the exact layout: u8 len, u8 flags, u64
+/// trace_hi/trace_lo/span_id/start_ns).
 /// Absent = untraced — an untraced frame's bytes are identical to the
 /// pre-trace protocol, so old peers and untraced traffic interoperate
 /// unchanged. Servers echo the request's context in the response.
@@ -77,8 +76,9 @@ namespace stpt::serve {
 /// other connections are unaffected.
 
 enum class MsgType : uint8_t {
-  kQueryRequest = 1,
-  kQueryResponse = 2,
+  // 1 and 2 are reserved (the retired unaddressed query frame and its
+  // response): an old client may still send them, so no new message may
+  // take their numbers.
   kStatsRequest = 3,
   kStatsResponse = 4,
   kMetaRequest = 5,
@@ -106,8 +106,8 @@ enum class AdminVerb : uint8_t {
   kUnload = 3,
 };
 
-/// Index-aligned answers for one query batch (the kQueryResponse payload,
-/// and what QueryServer::AnswerBatch / Client::Query return).
+/// Index-aligned answers for one query batch (what QueryServer::AnswerBatch
+/// returns and kQueryResponseV2 carries).
 using QueryResponse = std::vector<double>;
 
 /// Upper bound on one frame (1 MiB of queries is ~43k queries per batch).
@@ -125,7 +125,7 @@ struct WireMeta {
   SnapshotMeta meta;
 };
 
-/// Upper bound on tenant/tile names in v2 frames (mirrors the registry cap).
+/// Upper bound on tenant/tile names on the wire (mirrors the registry cap).
 inline constexpr uint32_t kMaxWireNameBytes = 255;
 
 /// Upper bound on the snapshot path in kAdminRequest.
@@ -177,7 +177,9 @@ struct AdminResponse {
 };
 
 /// kShardStatsRequest: filter for the per-shard stats JSON; empty strings
-/// select every shard.
+/// select every shard. kMetaRequest carries the same payload as the address
+/// of the one shard it asks about, where empty strings mean the default
+/// shard.
 struct ShardStatsRequest {
   std::string tenant;
   std::string tile;
@@ -239,12 +241,6 @@ struct TraceFetchRequest {
 inline constexpr uint32_t kMaxWireTraceIdBytes = 64;
 
 /// --- Payload codecs (pure, no I/O) ---------------------------------------
-
-std::vector<uint8_t> EncodeQueryRequest(const query::Workload& batch);
-StatusOr<query::Workload> DecodeQueryRequest(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodeQueryResponse(const QueryResponse& answers);
-StatusOr<QueryResponse> DecodeQueryResponse(const std::vector<uint8_t>& payload);
 
 std::vector<uint8_t> EncodeString(const std::string& text);  // stats/metrics/error
 StatusOr<std::string> DecodeString(const std::vector<uint8_t>& payload);

@@ -929,7 +929,7 @@ TEST_F(IngestLoopbackTest, IngestWithoutSinkFailsAndConnectionSurvives) {
   auto ack = client->Ingest("", "", {{1, 0, 0, 0, 1.0}});
   ASSERT_FALSE(ack.ok());
   EXPECT_NE(ack.status().ToString().find("ingest"), std::string::npos);
-  EXPECT_TRUE(client->Query({{0, 1, 0, 1, 0, 1}}).ok());
+  EXPECT_TRUE(client->QueryTenant("", "", {{0, 1, 0, 1, 0, 1}}).ok());
   (*server)->Stop();
 }
 

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <functional>
 #include <future>
+#include <latch>
 #include <limits>
 #include <string>
 #include <thread>
@@ -458,23 +459,6 @@ TEST(QueryServerTest, OpenFromDiskServesLoadedPrefixSums) {
 
 // --- Wire codecs -----------------------------------------------------------
 
-TEST(WireTest, QueryRequestRoundTrip) {
-  const query::Workload wl = MakeQueries({16, 16, 32}, 50, 43);
-  auto decoded = DecodeQueryRequest(EncodeQueryRequest(wl));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, wl);
-}
-
-TEST(WireTest, QueryResponseRoundTrip) {
-  const std::vector<double> answers = {0.0, -1.5, 3.25e300, 5e-324, 42.0};
-  auto decoded = DecodeQueryResponse(EncodeQueryResponse(answers));
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->size(), answers.size());
-  for (size_t i = 0; i < answers.size(); ++i) {
-    EXPECT_TRUE(BitIdentical((*decoded)[i], answers[i]));
-  }
-}
-
 TEST(WireTest, StringAndMetaRoundTrip) {
   auto text = DecodeString(EncodeString("hello stats"));
   ASSERT_TRUE(text.ok());
@@ -495,32 +479,18 @@ TEST(WireTest, StringAndMetaRoundTrip) {
 }
 
 TEST(WireTest, MalformedPayloadsRejected) {
-  EXPECT_FALSE(DecodeQueryRequest({0x01}).ok());  // short header
-  std::vector<uint8_t> wrong_len = EncodeQueryRequest(MakeQueries({4, 4, 4}, 3, 1));
+  EXPECT_FALSE(DecodeTenantQueryRequest({0x01}).ok());  // short header
+  TenantQueryRequest request;
+  request.batch = MakeQueries({4, 4, 4}, 3, 1);
+  std::vector<uint8_t> wrong_len = EncodeTenantQueryRequest(request);
   wrong_len.pop_back();
-  EXPECT_FALSE(DecodeQueryRequest(wrong_len).ok());
-  EXPECT_FALSE(DecodeQueryResponse({0xFF, 0xFF, 0xFF, 0xFF}).ok());
+  EXPECT_FALSE(DecodeTenantQueryRequest(wrong_len).ok());
+  // Epoch 0, then a count of 2^32 - 1 answers with no body.
+  EXPECT_FALSE(
+      DecodeTenantQueryResponse({0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+          .ok());
   EXPECT_FALSE(DecodeString({0x05, 0x00, 0x00, 0x00, 'a'}).ok());
   EXPECT_FALSE(DecodeMetaResponse({0x01, 0x02}).ok());
-}
-
-TEST(WireTest, QueryRequestTruncationSweepRejectsEveryPrefix) {
-  // Shared sweep helper: the codec must survive every strict prefix and
-  // every single-bit flip of a valid payload without crashing. Bit flips
-  // may still decode (no checksum on wire payloads) but truncations must
-  // not: the trailing-length check catches every short payload.
-  const std::vector<uint8_t> payload =
-      EncodeQueryRequest(MakeQueries({6, 6, 8}, 5, 3));
-  size_t prefix_accepted = 0;
-  const fuzz::SweepStats stats = fuzz::TruncationAndBitflipSweep(
-      payload, [&](const uint8_t* data, size_t size) {
-        const bool ok =
-            DecodeQueryRequest(std::vector<uint8_t>(data, data + size)).ok();
-        if (ok && size < payload.size()) ++prefix_accepted;
-        return ok;
-      });
-  EXPECT_GT(stats.cases, payload.size());
-  EXPECT_EQ(prefix_accepted, 0u);
 }
 
 TEST(WireTest, CheckedInCorpusReplaysClean) {
@@ -563,12 +533,16 @@ TEST(WireTest, MalformedFramesRejected) {
   const uint8_t huge[4] = {0xFF, 0xFF, 0xFF, 0x7F};
   ASSERT_EQ(::send(fds[0], huge, 4, 0), 4);
   EXPECT_FALSE(ReadFrame(fds[1]).ok());
-  // Unknown message type.
-  const uint8_t unknown[5] = {1, 0, 0, 0, 0xEE};
-  ASSERT_EQ(::send(fds[0], unknown, 5, 0), 5);
-  EXPECT_FALSE(ReadFrame(fds[1]).ok());
+  // Unknown message type, and the reserved types of the retired
+  // unaddressed query frame.
+  for (const uint8_t type : {uint8_t{0xEE}, uint8_t{1}, uint8_t{2}}) {
+    const uint8_t unknown[5] = {1, 0, 0, 0, type};
+    ASSERT_EQ(::send(fds[0], unknown, 5, 0), 5);
+    EXPECT_FALSE(ReadFrame(fds[1]).ok()) << int{type};
+  }
   // Truncated payload then close.
-  const uint8_t partial[6] = {10, 0, 0, 0, 1, 0x42};
+  const uint8_t partial[6] = {
+      10, 0, 0, 0, static_cast<uint8_t>(MsgType::kQueryRequestV2), 0x42};
   ASSERT_EQ(::send(fds[0], partial, 6, 0), 6);
   ::close(fds[0]);
   auto truncated = ReadFrame(fds[1]);
@@ -742,10 +716,11 @@ TEST(FrameDecoderTest, ReassemblesFramesFromSingleByteChunks) {
     stream.push_back(static_cast<uint8_t>(type));
     stream.insert(stream.end(), payload.begin(), payload.end());
   };
-  const std::vector<uint8_t> query =
-      EncodeQueryRequest(MakeQueries({4, 4, 4}, 2, 89));
+  TenantQueryRequest request;
+  request.batch = MakeQueries({4, 4, 4}, 2, 89);
+  const std::vector<uint8_t> query = EncodeTenantQueryRequest(request);
   append_frame(MsgType::kStatsRequest, {});
-  append_frame(MsgType::kQueryRequest, query);
+  append_frame(MsgType::kQueryRequestV2, query);
   append_frame(MsgType::kShardStatsRequest,
                EncodeShardStatsRequest({"a", "b"}));
 
@@ -761,7 +736,7 @@ TEST(FrameDecoderTest, ReassemblesFramesFromSingleByteChunks) {
   ASSERT_EQ(frames.size(), 3u);
   EXPECT_EQ(frames[0].type, MsgType::kStatsRequest);
   EXPECT_TRUE(frames[0].payload.empty());
-  EXPECT_EQ(frames[1].type, MsgType::kQueryRequest);
+  EXPECT_EQ(frames[1].type, MsgType::kQueryRequestV2);
   EXPECT_EQ(frames[1].payload, query);
   EXPECT_EQ(frames[2].type, MsgType::kShardStatsRequest);
   EXPECT_EQ(decoder.buffered(), 0u);
@@ -783,12 +758,14 @@ TEST(FrameDecoderTest, MalformedStreamPoisonsDecoder) {
     Frame frame;
     EXPECT_FALSE(decoder.Next(&frame).ok());
   }
-  {  // unknown message type
+  // Unknown message types, the reserved 1 and 2 included.
+  for (const uint8_t type :
+       {uint8_t{0xEE}, uint8_t{0}, uint8_t{1}, uint8_t{2}, uint8_t{21}}) {
     FrameDecoder decoder;
-    const uint8_t unknown[5] = {1, 0, 0, 0, 0xEE};
+    const uint8_t unknown[5] = {1, 0, 0, 0, type};
     decoder.Append(unknown, sizeof(unknown));
     Frame frame;
-    EXPECT_FALSE(decoder.Next(&frame).ok());
+    EXPECT_FALSE(decoder.Next(&frame).ok()) << int{type};
   }
 }
 
@@ -932,28 +909,81 @@ TEST(RegistryTest, StatsJsonAndLabeledPrometheusFamilies) {
   EXPECT_NE(text.find("stpt_registry_swap_latency_ns"), std::string::npos);
 }
 
+TEST(RegistryTest, ResolveShardKeyDefaultsEachEmptyName) {
+  EXPECT_EQ(ResolveShardKey("", ""), (ShardKey{kDefaultTenant, kDefaultTile}));
+  EXPECT_EQ(ResolveShardKey("acme", ""), (ShardKey{"acme", kDefaultTile}));
+  EXPECT_EQ(ResolveShardKey("", "7"), (ShardKey{kDefaultTenant, "7"}));
+  EXPECT_EQ(ResolveShardKey("acme", "7"), (ShardKey{"acme", "7"}));
+}
+
 // --- Event-loop loopback ---------------------------------------------------
+
+/// An ingest sink that admits every reading and reports a fixed stats JSON.
+class FakeIngestSink : public IngestSink {
+ public:
+  ReadingAck Apply(const ReadingBatch& batch) override {
+    ReadingAck ack;
+    ack.accepted = batch.readings.size();
+    return ack;
+  }
+  std::string StatsJson() const override {
+    return "{\"shards\": [{\"tenant\": \"acme\", \"consumed_epsilon\": 0}]}";
+  }
+  std::string MetricsText() const override { return ""; }
+};
+
+/// Holds its Apply open until the test counts `release` down.
+class BlockingIngestSink : public FakeIngestSink {
+ public:
+  ReadingAck Apply(const ReadingBatch& batch) override {
+    entered.count_down();
+    release.wait();
+    returned.store(true);
+    return FakeIngestSink::Apply(batch);
+  }
+
+  std::latch entered{1};
+  std::latch release{1};
+  std::atomic<bool> returned{false};
+};
+
+/// A raw TCP connection to the loopback server, for frames Client cannot send.
+int ConnectRaw(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
 
 class LoopbackTest : public testing::Test {
  protected:
-  void StartServer(grid::Dims dims, uint64_t seed,
-                   EventLoopOptions options = {}) {
-    snapshot_ = MakeTestSnapshot(dims, seed);
+  /// A server over an empty registry; the test loads the shards it needs.
+  void StartEmptyServer(IngestSink* sink = nullptr) {
     auto registry = SnapshotRegistry::Create();
     ASSERT_TRUE(registry.ok());
     registry_ = std::move(*registry);
+    auto server = EventLoopServer::Create(registry_.get(), EventLoopOptions{});
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    server_ = std::move(*server);
+    server_->set_ingest_sink(sink);
+    ASSERT_TRUE(server_->Start().ok());
+  }
+
+  void StartServer(grid::Dims dims, uint64_t seed) {
+    snapshot_ = MakeTestSnapshot(dims, seed);
+    StartEmptyServer();
     ASSERT_TRUE(registry_
                     ->Load(ShardKey{kDefaultTenant, kDefaultTile},
                            snapshot_)
                     .ok());
-    auto server = EventLoopServer::Create(registry_.get(), std::move(options));
-    ASSERT_TRUE(server.ok()) << server.status().ToString();
-    server_ = std::move(*server);
-    ASSERT_TRUE(server_->Start().ok());
   }
 
   ServerStats DefaultShardStats() {
-    auto gen = registry_->RouteDefault();
+    auto gen = registry_->Route(kDefaultTenant, kDefaultTile);
     EXPECT_TRUE(gen.ok());
     return (*gen)->engine->stats();
   }
@@ -987,11 +1017,11 @@ TEST_F(LoopbackTest, FourConcurrentClientsBitIdenticalToDirectEvaluation) {
       for (size_t base = 0; base < wl.size(); base += kBatch) {
         const size_t n = std::min<size_t>(kBatch, wl.size() - base);
         const query::Workload batch(wl.begin() + base, wl.begin() + base + n);
-        auto answers = client->Query(batch);
+        auto answers = client->QueryTenant("", "", batch);
         ASSERT_TRUE(answers.ok()) << answers.status().ToString();
         for (size_t i = 0; i < n; ++i) {
           const query::RangeQuery& q = batch[i];
-          if (!BitIdentical((*answers)[i],
+          if (!BitIdentical(answers->answers[i],
                             direct.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1))) {
             ++mismatches[c];
           }
@@ -1018,9 +1048,9 @@ TEST_F(LoopbackTest, MetaStatsAndServerSideValidation) {
 
   // An invalid batch is answered with an error frame, and the connection
   // stays usable for the next (valid) request.
-  auto bad = client->Query({{0, 99, 0, 0, 0, 0}});
+  auto bad = client->QueryTenant("", "", {{0, 99, 0, 0, 0, 0}});
   EXPECT_FALSE(bad.ok());
-  auto good = client->Query({{0, 1, 0, 1, 0, 1}});
+  auto good = client->QueryTenant("", "", {{0, 1, 0, 1, 0, 1}});
   ASSERT_TRUE(good.ok());
 
   auto stats = client->Stats();
@@ -1030,31 +1060,121 @@ TEST_F(LoopbackTest, MetaStatsAndServerSideValidation) {
   EXPECT_NE(stats->find("\"registry\""), std::string::npos);
 }
 
-TEST_F(LoopbackTest, V1AndV2AddressTheSameDefaultShard) {
-  // v1 compatibility: an unaddressed client and a tenant-addressed client
-  // hit the same default shard and get bit-identical answers.
+TEST_F(LoopbackTest, EmptyAndNamedAddressesReachTheSameDefaultShard) {
+  // An empty tenant or tile means the default shard's name, field by
+  // field: every spelling of its address reaches one engine and gets
+  // bit-identical answers.
   const grid::Dims dims{10, 10, 16};
   StartServer(dims, 55);
-  auto v1 = Client::Connect("127.0.0.1", server_->port());
-  auto v2 = Client::Connect("127.0.0.1", server_->port());
-  ASSERT_TRUE(v1.ok());
-  ASSERT_TRUE(v2.ok());
+  auto client = Client::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(client.ok());
   const query::Workload wl = MakeQueries(dims, 128, 59);
 
-  auto old_answers = v1->Query(wl);
-  ASSERT_TRUE(old_answers.ok());
-  auto addressed = v2->QueryTenant("", "", wl);
-  ASSERT_TRUE(addressed.ok()) << addressed.status().ToString();
-  EXPECT_EQ(addressed->epoch, 1u);
-  auto named = v2->QueryTenant(kDefaultTenant, kDefaultTile, wl);
-  ASSERT_TRUE(named.ok());
-  ASSERT_EQ(addressed->answers.size(), old_answers->size());
-  for (size_t i = 0; i < wl.size(); ++i) {
-    EXPECT_TRUE(BitIdentical((*old_answers)[i], addressed->answers[i]));
-    EXPECT_TRUE(BitIdentical((*old_answers)[i], named.value().answers[i]));
+  auto unnamed = client->QueryTenant("", "", wl);
+  ASSERT_TRUE(unnamed.ok()) << unnamed.status().ToString();
+  EXPECT_EQ(unnamed->epoch, 1u);
+  const std::pair<std::string, std::string> spellings[] = {
+      {kDefaultTenant, kDefaultTile}, {"", kDefaultTile}, {kDefaultTenant, ""}};
+  for (const auto& [tenant, tile] : spellings) {
+    auto named = client->QueryTenant(tenant, tile, wl);
+    ASSERT_TRUE(named.ok()) << "'" << tenant << "/" << tile << "'";
+    EXPECT_EQ(named->epoch, 1u);
+    for (size_t i = 0; i < wl.size(); ++i) {
+      EXPECT_TRUE(BitIdentical(unnamed->answers[i], named->answers[i]));
+    }
   }
-  // Both protocols' queries landed on one engine.
-  EXPECT_EQ(DefaultShardStats().queries, 3u * wl.size());
+  EXPECT_EQ(DefaultShardStats().queries, 4u * wl.size());
+}
+
+TEST_F(LoopbackTest, ReservedTypeAndUnaddressedMetaAreProtocolErrors) {
+  StartServer({6, 6, 6}, 56);
+  // A type-1 frame (the retired unaddressed query, count 0) and a
+  // kMetaRequest without its address payload: each gets one kError frame,
+  // then the server closes the connection.
+  const std::vector<std::vector<uint8_t>> frames = {
+      {5, 0, 0, 0, 1, 0, 0, 0, 0},
+      {1, 0, 0, 0, static_cast<uint8_t>(MsgType::kMetaRequest)},
+  };
+  for (const std::vector<uint8_t>& bytes : frames) {
+    const int fd = ConnectRaw(server_->port());
+    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+    auto error = ReadFrame(fd);
+    ASSERT_TRUE(error.ok()) << error.status().ToString();
+    EXPECT_EQ(error->type, MsgType::kError);
+    auto closed = ReadFrame(fd);
+    ASSERT_FALSE(closed.ok());
+    EXPECT_TRUE(IsConnectionClosed(closed.status())) << closed.status().ToString();
+    ::close(fd);
+  }
+  auto client = Client::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(client.ok());
+  auto answers = client->QueryTenant("", "", {{0, 2, 0, 2, 0, 2}});
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(answers->answers.size(), 1u);
+}
+
+TEST_F(LoopbackTest, MetaAnswersForTheShardItAddresses) {
+  StartEmptyServer();
+  const Snapshot acme = MakeTestSnapshot({7, 5, 11}, 81);
+  ASSERT_TRUE(registry_->Load(ShardKey{"acme", "7"}, acme).ok());
+  auto client = Client::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(client.ok());
+
+  auto acme_meta = client->Meta("acme", "7");
+  ASSERT_TRUE(acme_meta.ok()) << acme_meta.status().ToString();
+  EXPECT_EQ(acme_meta->dims, (grid::Dims{7, 5, 11}));
+  EXPECT_EQ(acme_meta->meta, acme.meta);
+  // No default shard yet: the unaddressed meta is the server's NotFound,
+  // and the connection stays usable.
+  auto missing = client->Meta();
+  ASSERT_FALSE(missing.ok());
+  EXPECT_NE(missing.status().message().find("NOT_FOUND: registry: no shard"),
+            std::string::npos)
+      << missing.status().ToString();
+
+  Snapshot fallback = MakeTestSnapshot({4, 6, 8}, 82);
+  fallback.meta.algorithm = "identity";
+  ASSERT_TRUE(
+      registry_->Load(ShardKey{kDefaultTenant, kDefaultTile}, fallback).ok());
+  auto default_meta = client->Meta();
+  ASSERT_TRUE(default_meta.ok()) << default_meta.status().ToString();
+  EXPECT_EQ(default_meta->dims, (grid::Dims{4, 6, 8}));
+  EXPECT_EQ(default_meta->meta, fallback.meta);
+  acme_meta = client->Meta("acme", "7");
+  ASSERT_TRUE(acme_meta.ok());
+  EXPECT_EQ(acme_meta->dims, (grid::Dims{7, 5, 11}));
+  EXPECT_EQ(acme_meta->meta, acme.meta);
+}
+
+TEST_F(LoopbackTest, StatsKeepsItsShapeWithoutADefaultShard) {
+  FakeIngestSink sink;
+  StartEmptyServer(&sink);
+  ASSERT_TRUE(registry_->Load(ShardKey{"acme", "7"}, MakeTestSnapshot()).ok());
+  auto client = Client::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(client.ok());
+
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->rfind("{\"top_regions\": ", 0), 0u) << *stats;
+  EXPECT_NE(stats->find(", \"registry\": {\"shards\": [{\"tenant\": \"acme\""),
+            std::string::npos)
+      << *stats;
+  EXPECT_NE(stats->find(", \"ingest\": " + sink.StatsJson() + "}"),
+            std::string::npos)
+      << *stats;
+
+  // The default shard's engine counters lead once that shard is loaded.
+  ASSERT_TRUE(registry_->Load(ShardKey{kDefaultTenant, kDefaultTile},
+                              MakeTestSnapshot())
+                  .ok());
+  stats = client->Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->rfind("{\"queries\": 0, ", 0), 0u) << *stats;
+  for (const char* key :
+       {"\"top_regions\": ", "\"registry\": ", "\"ingest\": "}) {
+    EXPECT_NE(stats->find(key), std::string::npos) << key;
+  }
 }
 
 TEST_F(LoopbackTest, MalformedFrameAndDisconnectsDoNotKillServer) {
@@ -1068,13 +1188,7 @@ TEST_F(LoopbackTest, MalformedFrameAndDisconnectsDoNotKillServer) {
 
   // Client 2: raw socket spewing garbage (a huge frame length).
   {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    const int fd = ConnectRaw(server_->port());
     const uint8_t garbage[8] = {0xFF, 0xFF, 0xFF, 0xFF, 0xDE, 0xAD, 0xBE, 0xEF};
     ASSERT_EQ(::send(fd, garbage, sizeof(garbage), MSG_NOSIGNAL), 8);
     // The server answers with an error frame (or just closes); either way
@@ -1088,9 +1202,9 @@ TEST_F(LoopbackTest, MalformedFrameAndDisconnectsDoNotKillServer) {
   // Client 3: normal service still works.
   auto client = Client::Connect("127.0.0.1", server_->port());
   ASSERT_TRUE(client.ok());
-  auto answers = client->Query({{0, 2, 0, 2, 0, 2}});
+  auto answers = client->QueryTenant("", "", {{0, 2, 0, 2, 0, 2}});
   ASSERT_TRUE(answers.ok());
-  EXPECT_EQ(answers->size(), 1u);
+  EXPECT_EQ(answers->answers.size(), 1u);
 }
 
 TEST_F(LoopbackTest, ShutdownFrameUnblocksWait) {
@@ -1173,7 +1287,7 @@ TEST_F(LoopbackTest, AdminLifecycleOverTheWire) {
   // Unload, then the tenant is gone while the default shard still serves.
   ASSERT_TRUE(client->Unload("acme", "7").ok());
   EXPECT_FALSE(client->QueryTenant("acme", "7", wl).ok());
-  EXPECT_TRUE(client->Query({{0, 1, 0, 1, 0, 1}}).ok());
+  EXPECT_TRUE(client->QueryTenant("", "", {{0, 1, 0, 1, 0, 1}}).ok());
 }
 
 TEST_F(LoopbackTest, AdminLoadOfDirectoryIsAnErrorAndServerKeepsServing) {
@@ -1298,7 +1412,7 @@ TEST(ShutdownDrainTest, InFlightResponsesFlushBeforeCloseAndNoFdLeaks) {
       const query::Workload wl = MakeQueries(dims, 128, 69);
       bool signaled = false;
       for (int i = 0; i < 1000000; ++i) {
-        auto answers = client->Query(wl);
+        auto answers = client->QueryTenant("", "", wl);
         if (answers.ok()) {
           ok_batches.fetch_add(1);
           if (!signaled) {
@@ -1341,15 +1455,9 @@ TEST(ShutdownDrainTest, ConnectionMidRequestAtShutdownClosedCleanly) {
     ASSERT_TRUE((*server)->Start().ok());
 
     // A connection parked mid-frame: 6 bytes of a frame that declares 10.
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>((*server)->port()));
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    const int fd = ConnectRaw((*server)->port());
     const uint8_t partial[6] = {10, 0, 0, 0,
-                                static_cast<uint8_t>(MsgType::kQueryRequest), 1};
+                                static_cast<uint8_t>(MsgType::kQueryRequestV2), 1};
     ASSERT_EQ(::send(fd, partial, sizeof(partial), MSG_NOSIGNAL), 6);
     // Let the loop accept and read the half frame before stopping.
     for (int i = 0; i < 200 && (*server)->connections_accepted() == 0; ++i) {
@@ -1366,6 +1474,48 @@ TEST(ShutdownDrainTest, ConnectionMidRequestAtShutdownClosedCleanly) {
     ::close(fd);
   }
   EXPECT_EQ(CountOpenFds(), fds_before);
+}
+
+TEST(ShutdownDrainTest, StopWaitsForADispatchedTaskPastTheDrainTimeout) {
+  // drain_timeout_ms bounds how long clients get to read responses, not how
+  // long a running batch may take: with a zero drain, Stop() closes the
+  // connection at once but must still wait for the batch inside Apply.
+  const int prev_threads = exec::Threads();
+  exec::SetThreads(2);
+  {
+    BlockingIngestSink sink;
+    auto registry = SnapshotRegistry::Create();
+    ASSERT_TRUE(registry.ok());
+    EventLoopOptions options;
+    options.drain_timeout_ms = 0;
+    auto server = EventLoopServer::Create(registry->get(), options);
+    ASSERT_TRUE(server.ok());
+    (*server)->set_ingest_sink(&sink);
+    ASSERT_TRUE((*server)->Start().ok());
+
+    std::thread feeder([&] {
+      auto client = Client::Connect("127.0.0.1", (*server)->port());
+      ASSERT_TRUE(client.ok());
+      // The drain gives up on this batch's ack and closes the connection.
+      EXPECT_FALSE(client->Ingest("acme", "7", {{1, 0, 0, 0, 1.0}}).ok());
+    });
+    sink.entered.wait();
+    std::atomic<bool> stop_returned{false};
+    std::atomic<bool> applied_before_stop_returned{false};
+    std::thread stopper([&] {
+      (*server)->Stop();
+      applied_before_stop_returned.store(sink.returned.load());
+      stop_returned.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(stop_returned.load());
+    sink.release.count_down();
+    stopper.join();
+    feeder.join();
+    EXPECT_TRUE(applied_before_stop_returned.load());
+    EXPECT_EQ((*server)->open_connections(), 0);
+  }
+  exec::SetThreads(prev_threads);
 }
 
 // --- Backpressure ----------------------------------------------------------
@@ -1493,14 +1643,14 @@ void RunMetricsMatchesStats(int threads) {
   const query::Workload wl = MakeQueries(dims, 256, 67);
   // Two identical passes: the second one is cache-hot.
   for (int pass = 0; pass < 2; ++pass) {
-    auto answers = client->Query(wl);
+    auto answers = client->QueryTenant("", "", wl);
     ASSERT_TRUE(answers.ok()) << answers.status().ToString();
-    ASSERT_EQ(answers->size(), wl.size());
+    ASSERT_EQ(answers->answers.size(), wl.size());
   }
 
   auto text = client->Metrics();
   ASSERT_TRUE(text.ok()) << text.status().ToString();
-  auto gen = (*registry)->RouteDefault();
+  auto gen = (*registry)->Route(kDefaultTenant, kDefaultTile);
   ASSERT_TRUE(gen.ok());
   const ServerStats stats = (*gen)->engine->stats();
   EXPECT_EQ(stats.queries, 512u);

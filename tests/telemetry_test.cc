@@ -313,6 +313,30 @@ TEST(AuditLedgerTest, JsonlSinkMirrorsInMemoryRecords) {
   std::remove(path.c_str());
 }
 
+TEST(AuditLedgerTest, JsonlRoundTripsEscapedStageNames) {
+  dp::AuditLedger ledger;
+  dp::AuditRecord record;
+  record.stage = "say \"hi\"\\now\nthen";
+  record.mechanism = "laplace";
+  record.epsilon = 0.5;
+  record.composition = "sequential";
+  record.consumed_after = 0.5;
+  ledger.Append(record);
+  const std::string jsonl = ledger.ToJsonl();
+  // One line: the newline inside the stage name is escaped, not written.
+  EXPECT_EQ(jsonl.find('\n'), jsonl.size() - 1) << jsonl;
+  EXPECT_NE(jsonl.find("\"stage\": \"say \\\"hi\\\"\\\\now\\u000athen\""),
+            std::string::npos)
+      << jsonl;
+  const std::vector<dp::AuditRecord> parsed = dp::AuditLedger::ParseJsonl(jsonl);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].stage, record.stage);
+  EXPECT_EQ(parsed[0].mechanism, record.mechanism);
+  EXPECT_EQ(parsed[0].epsilon, record.epsilon);
+  EXPECT_EQ(parsed[0].composition, record.composition);
+  EXPECT_EQ(parsed[0].consumed_after, record.consumed_after);
+}
+
 grid::ConsumptionMatrix PipelineMatrix(grid::Dims dims) {
   auto m = grid::ConsumptionMatrix::Create(dims);
   EXPECT_TRUE(m.ok());

@@ -317,6 +317,43 @@ TEST(PromEscapeTest, EscapesBackslashQuoteAndNewline) {
   EXPECT_EQ(obs::PromEscapeLabel("\\\"\n"), "\\\\\\\"\\n");
 }
 
+TEST(JsonEscapeTest, EscapesQuoteBackslashAndControlBytesOnly) {
+  const std::pair<std::string, std::string> table[] = {
+      {"plain", "plain"},
+      {"a\"b", "a\\\"b"},
+      {"a\\b", "a\\\\b"},
+      {"a\x01" "b", "a\\u0001b"},
+      {"\x1f", "\\u001f"},
+      {"a\nb", "a\\u000ab"},
+      {"\r\t", "\\u000d\\u0009"},
+      {std::string(1, '\0'), "\\u0000"},
+      // DEL and UTF-8 bytes pass through unchanged.
+      {"\x7f", "\x7f"},
+      {"caf\xc3\xa9 \xe2\x82\xac", "caf\xc3\xa9 \xe2\x82\xac"},
+  };
+  for (const auto& [in, want] : table) {
+    EXPECT_EQ(obs::JsonEscape(in), want) << "input of " << in.size() << " bytes";
+  }
+}
+
+TEST(JsonEscapeTest, TraceStoreJsonEscapesControlBytesInClientNames) {
+  // Tenant names are client-controlled and reach the trace store verbatim.
+  obs::TraceStore store;
+  obs::TraceSpan span;
+  span.trace_hi = 1;
+  span.trace_lo = 2;
+  span.span_id = 3;
+  span.name = "serve/exec";
+  span.lane = "worker";
+  span.attrs = {{"tenant", "evil\"\n\r\tname"}};
+  store.Add(span);
+  const std::string json = store.ToJson();
+  EXPECT_NE(json.find("\"tenant\":\"evil\\\"\\u000a\\u000d\\u0009name\""),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find('\n'), std::string::npos);
+}
+
 TEST(PromEscapeTest, RegistryEscapesHostileTenantNames) {
   // A tenant name chosen to break the exposition format: an embedded quote
   // would close the label early and an embedded newline would inject a

@@ -26,15 +26,15 @@
 //
 // `serve` starts the sharded event-loop server. With --snapshot it loads
 // that container (written by `stpt_cli publish --snapshot=...`) as the
-// --tenant/--tile shard (default tenant "default", tile "0" — where v1
-// clients are routed); without it the server starts empty and shards are
-// loaded at runtime. With --ingest the server additionally accepts
-// kReadingBatch frames (see stpt_ingest): readings accumulate per shard and
-// every epoch boundary republishes that shard's grid under w-event DP,
-// hot-swapping it into the registry with zero dropped queries. Admission
-// clamps each meter's per-cell-per-timestep contribution to
-// ±--ingest-unit (the sensitivity the noise is calibrated for);
-// --ingest-grace keeps that many completed slices open for late
+// --tenant/--tile shard (default tenant "default", tile "0" — the shard a
+// request with an empty tenant and tile addresses); without it the server
+// starts empty and shards are loaded at runtime. With --ingest the server
+// additionally accepts kReadingBatch frames (see stpt_ingest): readings
+// accumulate per shard and every epoch boundary republishes that shard's
+// grid under w-event DP, hot-swapping it into the registry with zero
+// dropped queries. Admission clamps each meter's per-cell-per-timestep
+// contribution to ±--ingest-unit (the sensitivity the noise is calibrated
+// for); --ingest-grace keeps that many completed slices open for late
 // backfill, and --ingest-cap bounds the per-shard clamp-tracking map.
 // With --ingest-wal-dir every batch is write-ahead-logged and a
 // restarted server replays the WALs at startup, resuming each shard —
@@ -47,17 +47,17 @@
 // existing shard to a new snapshot with zero dropped queries, unload
 // removes one. The path is resolved on the *server's* filesystem.
 //
-// `query` generates a workload against the server's dims and reports
-// throughput; with --tenant/--tile it speaks the tenant-addressed v2
-// protocol. `verify` additionally loads the snapshot locally and requires
-// every served answer to be bit-identical to direct in-memory evaluation —
-// the end-to-end integrity check used by CI (it holds across hot-swaps to
-// a byte-identical snapshot). `stats` prints serving counters as JSON
+// `query` generates a workload against the dims of the --tenant/--tile
+// shard (empty = the default shard), sends every batch to that shard and
+// reports throughput. `verify` additionally loads the snapshot locally and
+// requires every served answer to be bit-identical to direct in-memory
+// evaluation — the end-to-end integrity check used by CI (it holds across
+// hot-swaps to a byte-identical snapshot). `stats` prints serving counters as JSON
 // (per-shard when --tenant is given); `metrics` prints every metric
 // registry in Prometheus text exposition format.
 //
 // `--trace-sample=N` on query/verify attaches a deterministic trace
-// context to every request batch (v2 frames) and head-samples traces at
+// context to every request batch and head-samples traces at
 // 1/N (N=1 samples every batch; 0, the default, sends untraced frames
 // that are byte-identical to the pre-trace protocol). Sampled requests
 // leave lifecycle spans in the server's trace store; fetch them as JSON
@@ -343,13 +343,15 @@ int RunServe(const FlagSet& flags) {
 }
 
 /// Shared query driver for `query` (report only) and `verify` (compare to a
-/// locally evaluated snapshot). Returns nonzero on any mismatch. With
-/// --tenant/--tile it uses tenant-addressed v2 frames.
+/// locally evaluated snapshot). Returns nonzero on any mismatch. Sizes the
+/// workload from, and sends every batch to, the --tenant/--tile shard.
 int RunQueryOrVerify(const FlagSet& flags, bool verify) {
   auto client = ConnectFromFlags(flags);
   if (!client.ok()) return Fail(client.status());
 
-  auto meta = client->Meta();
+  const std::string tenant = flags.GetString("tenant");
+  const std::string tile = flags.GetString("tile");
+  auto meta = client->Meta(tenant, tile);
   if (!meta.ok()) return Fail(meta.status());
 
   serve::Snapshot local;
@@ -384,12 +386,6 @@ int RunQueryOrVerify(const FlagSet& flags, bool verify) {
 
   const uint32_t trace_sample =
       static_cast<uint32_t>(flags.GetInt("trace-sample"));
-  // Tracing needs the v2 frame (the v1 layout is frozen); untenanted traced
-  // runs address the default shard explicitly.
-  const bool v2 = flags.Provided("tenant") || flags.Provided("tile") ||
-                  trace_sample > 0;
-  const std::string tenant = flags.GetString("tenant");
-  const std::string tile = flags.GetString("tile");
   // Trace ids fork off their own base so the workload stream is untouched:
   // answers are bit-identical with tracing on or off.
   const Rng trace_base(static_cast<uint64_t>(flags.GetInt("seed")));
@@ -404,27 +400,20 @@ int RunQueryOrVerify(const FlagSet& flags, bool verify) {
   for (int base = 0; base < count; base += batch_size) {
     const int n = std::min(batch_size, count - base);
     query::Workload batch(workload->begin() + base, workload->begin() + base + n);
-    serve::QueryResponse answers;
-    if (v2) {
-      obs::TraceContext trace;
-      if (trace_sample > 0) {
-        trace = obs::MakeTraceContext(
-            trace_base, static_cast<uint64_t>(base / batch_size), trace_sample);
-        if (trace.sampled) {
-          ++sampled_batches;
-          if (first_sampled_id.empty()) first_sampled_id = obs::TraceIdHex(trace);
-        }
+    obs::TraceContext trace;
+    if (trace_sample > 0) {
+      trace = obs::MakeTraceContext(
+          trace_base, static_cast<uint64_t>(base / batch_size), trace_sample);
+      if (trace.sampled) {
+        ++sampled_batches;
+        if (first_sampled_id.empty()) first_sampled_id = obs::TraceIdHex(trace);
       }
-      auto response = client->QueryTenant(tenant, tile, batch, /*epoch=*/0, trace);
-      if (!response.ok()) return Fail(response.status());
-      if (first_epoch == 0) first_epoch = response->epoch;
-      last_epoch = response->epoch;
-      answers = std::move(response->answers);
-    } else {
-      auto response = client->Query(batch);
-      if (!response.ok()) return Fail(response.status());
-      answers = std::move(*response);
     }
+    auto response = client->QueryTenant(tenant, tile, batch, /*epoch=*/0, trace);
+    if (!response.ok()) return Fail(response.status());
+    if (first_epoch == 0) first_epoch = response->epoch;
+    last_epoch = response->epoch;
+    const serve::QueryResponse& answers = response->answers;
     for (int i = 0; i < n; ++i) {
       checksum += answers[i];
       if (direct != nullptr) {
@@ -444,7 +433,7 @@ int RunQueryOrVerify(const FlagSet& flags, bool verify) {
                 sampled_batches, first_sampled_id.empty() ? "" : ", first id ",
                 first_sampled_id.c_str());
   }
-  if (v2 && first_epoch != last_epoch) {
+  if (first_epoch != last_epoch) {
     std::printf("epoch advanced %llu -> %llu during the run (hot swap)\n",
                 static_cast<unsigned long long>(first_epoch),
                 static_cast<unsigned long long>(last_epoch));
