@@ -11,9 +11,8 @@
 //
 //   single       closed loop against the default shard (empty tenant and
 //                tile): each client cycles a shared pool of `unique` random
-//                range queries `rounds` times in batches of `batch`
-//                (cache-hot after the first pass). Comparable to the
-//                historical single-snapshot number.
+//                range queries `rounds` times in batches of `batch`.
+//                Comparable to the historical single-snapshot number.
 //   multi_tenant closed loop: every batch is addressed to a tenant drawn
 //                from a Zipf(s=--zipf) popularity distribution, so a few
 //                tenants are hot and the tail is cold — the shape real
@@ -382,9 +381,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "single:       %lld queries, %.3f s wall: %.0f q/s; RTT p50 %.1f us "
-      "p99 %.1f us; cache hit rate %.1f%%\n",
+      "p99 %.1f us\n",
       static_cast<long long>(single.queries), single.wall_s, single.qps,
-      single.p50_us, single.p99_us, 100.0 * default_stats.hit_rate());
+      single.p50_us, single.p99_us);
   std::printf(
       "multi_tenant: %lld queries over %d tenants (zipf %.2f), %.3f s wall: "
       "%.0f q/s; RTT p50 %.1f us p99 %.1f us\n",

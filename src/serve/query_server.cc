@@ -1,13 +1,6 @@
 #include "serve/query_server.h"
 
-#include <algorithm>
-#include <array>
-#include <bit>
-#include <cstring>
-#include <list>
-#include <mutex>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "exec/parallel.h"
@@ -18,154 +11,39 @@
 namespace stpt::serve {
 namespace {
 
-struct CacheKey {
-  std::array<int32_t, 6> bounds;
-  bool operator==(const CacheKey&) const = default;
-};
-
-struct CacheKeyHash {
-  size_t operator()(const CacheKey& k) const {
-    // splitmix64-style mix over the packed coordinate pairs.
-    uint64_t h = 0x9E3779B97F4A7C15ULL;
-    for (int i = 0; i < 3; ++i) {
-      uint64_t w = static_cast<uint64_t>(static_cast<uint32_t>(k.bounds[2 * i])) |
-                   static_cast<uint64_t>(static_cast<uint32_t>(k.bounds[2 * i + 1]))
-                       << 32;
-      h ^= w;
-      h *= 0xBF58476D1CE4E5B9ULL;
-      h ^= h >> 27;
-    }
-    return static_cast<size_t>(h ^ (h >> 31));
-  }
-};
-
-CacheKey KeyOf(const query::RangeQuery& q) {
-  return CacheKey{{q.x0, q.x1, q.y0, q.y1, q.t0, q.t1}};
-}
-
-/// One LRU shard: a doubly-linked recency list plus an index into it, both
-/// guarded by the shard mutex. Capacity is enforced per shard.
-class LruShard {
- public:
-  void set_capacity(size_t capacity) { capacity_ = capacity; }
-
-  bool Lookup(const CacheKey& key, double* value) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it == index_.end()) return false;
-    recency_.splice(recency_.begin(), recency_, it->second);
-    *value = it->second->second;
-    return true;
-  }
-
-  void Insert(const CacheKey& key, double value) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {  // raced with another miss on the same query
-      recency_.splice(recency_.begin(), recency_, it->second);
-      return;
-    }
-    recency_.emplace_front(key, value);
-    index_[key] = recency_.begin();
-    if (index_.size() > capacity_) {
-      index_.erase(recency_.back().first);
-      recency_.pop_back();
-    }
-  }
-
- private:
-  std::mutex mu_;
-  size_t capacity_ = 0;
-  std::list<std::pair<CacheKey, double>> recency_;
-  std::unordered_map<CacheKey, std::list<std::pair<CacheKey, double>>::iterator,
-                     CacheKeyHash>
-      index_;
-};
+/// Batches slower than this are counted in stpt_serve_slow_batches_total
+/// and logged at warn level (the serve-layer slow-query log).
+constexpr uint64_t kSlowBatchNs = 50'000'000;  // 50 ms
 
 }  // namespace
 
 std::string ServerStats::ToJson() const {
   std::ostringstream os;
   os << "{\"queries\": " << queries << ", \"invalid\": " << invalid
-     << ", \"cache_hits\": " << cache_hits << ", \"cache_misses\": " << cache_misses
-     << ", \"cache_hit_rate\": " << hit_rate() << ", \"p50_ns\": " << p50_ns
-     << ", \"p99_ns\": " << p99_ns << "}";
+     << ", \"p50_ns\": " << p50_ns << ", \"p99_ns\": " << p99_ns << "}";
   return os.str();
 }
 
 class QueryServer::Impl {
  public:
-  Impl(Snapshot snapshot, grid::PrefixSum3D prefix, const QueryServerOptions& options)
-      : meta_(std::move(snapshot.meta)),
-        prefix_(std::move(prefix)),
-        slow_batch_ns_(options.slow_batch_ns) {
+  Impl(Snapshot snapshot, grid::PrefixSum3D prefix)
+      : meta_(std::move(snapshot.meta)), prefix_(std::move(prefix)) {
     queries_ = registry_.GetCounter("stpt_serve_queries_total",
                                     "Queries answered successfully");
     invalid_ = registry_.GetCounter("stpt_serve_invalid_total",
-                                    "Queries rejected by bounds validation");
-    hits_ = registry_.GetCounter("stpt_serve_cache_hits_total",
-                                 "Answers served from the LRU cache");
-    misses_ = registry_.GetCounter("stpt_serve_cache_misses_total",
-                                   "Answers computed on cache miss");
+                                    "Batches rejected by bounds validation");
     batches_ = registry_.GetCounter("stpt_serve_batches_total",
                                     "Query batches accepted by AnswerBatch");
-    slow_batches_ = registry_.GetCounter(
-        "stpt_serve_slow_batches_total",
-        "Batches slower than QueryServerOptions::slow_batch_ns");
-    latency_ = registry_.GetHistogram("stpt_serve_query_latency_ns",
-                                      "Per-query Answer() wall time",
+    slow_batches_ = registry_.GetCounter("stpt_serve_slow_batches_total",
+                                         "Batches slower than 50 ms");
+    latency_ = registry_.GetHistogram("stpt_serve_batch_latency_ns",
+                                      "AnswerBatch() wall time per accepted batch",
                                       obs::LatencyBucketsNs());
-    if (options.cache_capacity > 0) {
-      shards_.resize(static_cast<size_t>(
-          std::bit_ceil(static_cast<unsigned>(options.cache_shards))));
-      const size_t per_shard =
-          std::max<size_t>(1, options.cache_capacity / shards_.size());
-      for (auto& shard : shards_) {
-        shard = std::make_unique<LruShard>();
-        shard->set_capacity(per_shard);
-      }
-    }
   }
 
   const grid::Dims& dims() const { return prefix_.dims(); }
   const SnapshotMeta& meta() const { return meta_; }
   obs::Registry& metrics() { return registry_; }
-
-  StatusOr<double> Answer(const query::RangeQuery& q) {
-    const uint64_t start_ns = obs::NowNanos();
-    const Status valid = query::ValidateQuery(q, prefix_.dims());
-    if (!valid.ok()) {
-      invalid_->Increment();
-      return valid;
-    }
-    double value = 0.0;
-    if (shards_.empty()) {
-      value = prefix_.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1);
-    } else {
-      const CacheKey key = KeyOf(q);
-      LruShard& shard =
-          *shards_[CacheKeyHash{}(key) & (shards_.size() - 1)];
-      if (shard.Lookup(key, &value)) {
-        hits_->Increment();
-      } else {
-        value = prefix_.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1);
-        shard.Insert(key, value);
-        misses_->Increment();
-      }
-    }
-    queries_->Increment();
-    const uint64_t end_ns = obs::NowNanos();
-    // Sampled requests pin their trace id to the latency bucket they land
-    // in (an OpenMetrics exemplar), so a scrape outlier links to its trace.
-    const obs::TraceContext* ctx = obs::CurrentTraceContext();
-    if (ctx != nullptr && ctx->sampled) {
-      latency_->ObserveWithExemplar(static_cast<double>(end_ns - start_ns),
-                                    ctx->trace_hi, ctx->trace_lo, end_ns);
-    } else {
-      latency_->Observe(static_cast<double>(end_ns - start_ns));
-    }
-    return value;
-  }
 
   StatusOr<QueryResponse> AnswerBatch(const query::Workload& batch) {
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -180,28 +58,39 @@ class QueryServer::Impl {
     // Named span so the batch shows up in the trace-region profile
     // (`stpt_serve stats` top_regions) and labels the worker-chunk lanes.
     obs::Span batch_span("serve/answer_batch");
-    const uint64_t batch_start_ns = obs::NowNanos();
+    const uint64_t start_ns = obs::NowNanos();
     QueryResponse answers(batch.size());
     exec::ParallelFor(static_cast<int64_t>(batch.size()), [&](int64_t i) {
-      // Already validated, so Answer cannot fail; each slot is written by
-      // exactly one index (the ParallelFor purity contract).
-      answers[i] = *Answer(batch[i]);
+      // Each slot is written by exactly one index (the ParallelFor purity
+      // contract).
+      const query::RangeQuery& q = batch[i];
+      answers[i] = prefix_.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1);
     });
-    const uint64_t batch_ns = obs::NowNanos() - batch_start_ns;
-    if (slow_batch_ns_ > 0 && batch_ns > slow_batch_ns_) {
+    const uint64_t end_ns = obs::NowNanos();
+    const uint64_t batch_ns = end_ns - start_ns;
+    queries_->Increment(batch.size());
+    // A sampled batch pins its trace id to the latency bucket it lands in
+    // (an OpenMetrics exemplar), so a scrape outlier links to its trace.
+    const obs::TraceContext* ctx = obs::CurrentTraceContext();
+    const bool sampled = ctx != nullptr && ctx->sampled;
+    if (sampled) {
+      latency_->ObserveWithExemplar(static_cast<double>(batch_ns), ctx->trace_hi,
+                                    ctx->trace_lo, end_ns);
+    } else {
+      latency_->Observe(static_cast<double>(batch_ns));
+    }
+    if (batch_ns > kSlowBatchNs) {
       slow_batches_->Increment();
       // Shard identity + trace id make the warn line joinable against the
       // per-tenant RED series and a `stpt_serve trace` fetch.
-      const obs::TraceContext* ctx = obs::CurrentTraceContext();
       obs::Log(obs::LogLevel::kWarn, "serve", "slow batch",
                {{"queries", std::to_string(batch.size())},
                 {"wall_ns", std::to_string(batch_ns)},
-                {"threshold_ns", std::to_string(slow_batch_ns_)},
+                {"threshold_ns", std::to_string(kSlowBatchNs)},
                 {"tenant", tenant_},
                 {"tile", tile_},
                 {"epoch", std::to_string(epoch_)},
-                {"trace_id",
-                 ctx != nullptr && ctx->sampled ? obs::TraceIdHex(*ctx) : ""}});
+                {"trace_id", sampled ? obs::TraceIdHex(*ctx) : ""}});
     }
     return answers;
   }
@@ -217,14 +106,10 @@ class QueryServer::Impl {
     ServerStats s;
     s.queries = queries_->Value();
     s.invalid = invalid_->Value();
-    s.cache_hits = hits_->Value();
-    s.cache_misses = misses_->Value();
     s.p50_ns = static_cast<uint64_t>(latency_->Quantile(0.50));
     s.p99_ns = static_cast<uint64_t>(latency_->Quantile(0.99));
     return s;
   }
-
-  void ResetStats() { registry_.Reset(); }
 
  private:
   SnapshotMeta meta_;
@@ -234,20 +119,14 @@ class QueryServer::Impl {
   obs::Registry registry_;
   obs::Counter* queries_ = nullptr;
   obs::Counter* invalid_ = nullptr;
-  obs::Counter* hits_ = nullptr;
-  obs::Counter* misses_ = nullptr;
   obs::Counter* batches_ = nullptr;
   obs::Counter* slow_batches_ = nullptr;
   obs::Histogram* latency_ = nullptr;
-  uint64_t slow_batch_ns_ = 0;
   // Shard identity, written once by the registry before the generation is
   // published (never mutated while queries run).
   std::string tenant_;
   std::string tile_;
   uint64_t epoch_ = 0;
-  // Shards are heap-allocated because a mutex is neither movable nor
-  // copyable; the vector is empty when the cache is disabled.
-  std::vector<std::unique_ptr<LruShard>> shards_;
 };
 
 QueryServer::QueryServer(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
@@ -255,33 +134,21 @@ QueryServer::QueryServer(QueryServer&&) noexcept = default;
 QueryServer& QueryServer::operator=(QueryServer&&) noexcept = default;
 QueryServer::~QueryServer() = default;
 
-StatusOr<QueryServer> QueryServer::Open(const std::string& snapshot_path,
-                                        const QueryServerOptions& options) {
+StatusOr<QueryServer> QueryServer::Open(const std::string& snapshot_path) {
   auto snapshot = ReadSnapshot(snapshot_path);
   if (!snapshot.ok()) return snapshot.status();
-  return Create(std::move(*snapshot), options);
+  return Create(std::move(*snapshot));
 }
 
-StatusOr<QueryServer> QueryServer::Create(Snapshot snapshot,
-                                          const QueryServerOptions& options) {
-  if (options.cache_shards < 1) {
-    return Status::InvalidArgument(
-        "QueryServer: cache_shards must be >= 1, got " +
-        std::to_string(options.cache_shards));
-  }
+StatusOr<QueryServer> QueryServer::Create(Snapshot snapshot) {
   auto prefix =
       grid::PrefixSum3D::FromRaw(snapshot.sanitized.dims(), std::move(snapshot.prefix));
   if (!prefix.ok()) return prefix.status();
-  return QueryServer(
-      std::make_unique<Impl>(std::move(snapshot), std::move(*prefix), options));
+  return QueryServer(std::make_unique<Impl>(std::move(snapshot), std::move(*prefix)));
 }
 
 const grid::Dims& QueryServer::dims() const { return impl_->dims(); }
 const SnapshotMeta& QueryServer::meta() const { return impl_->meta(); }
-
-StatusOr<double> QueryServer::Answer(const query::RangeQuery& q) {
-  return impl_->Answer(q);
-}
 
 StatusOr<QueryResponse> QueryServer::AnswerBatch(const query::Workload& batch) {
   return impl_->AnswerBatch(batch);
@@ -293,7 +160,6 @@ void QueryServer::SetShardIdentity(const std::string& tenant,
 }
 
 ServerStats QueryServer::stats() const { return impl_->stats(); }
-void QueryServer::ResetStats() { impl_->ResetStats(); }
 obs::Registry& QueryServer::metrics() const { return impl_->metrics(); }
 
 }  // namespace stpt::serve

@@ -15,37 +15,14 @@
 
 namespace stpt::serve {
 
-/// Tuning knobs for the in-process query engine. Validated by
-/// QueryServer::Create; invalid combinations fail construction instead of
-/// being silently clamped.
-struct QueryServerOptions {
-  /// Number of independent cache shards; must be >= 1, rounded up to a power
-  /// of two. Each shard has its own mutex, so concurrent batches contend
-  /// only when they hash to the same shard.
-  int cache_shards = 16;
-  /// Total cached answers across all shards; 0 disables the cache.
-  size_t cache_capacity = 1 << 16;
-  /// Batches whose wall time exceeds this threshold are counted in
-  /// stpt_serve_slow_batches_total and logged at warn level (the serve-layer
-  /// slow-query log). 0 disables slow-batch detection.
-  uint64_t slow_batch_ns = 50'000'000;  // 50 ms
-};
-
 /// Point-in-time serving counters. Latency percentiles come from a
-/// log-scaled histogram of per-query Answer() wall times (obs::NowNanos),
-/// so they are approximate to one power-of-two bucket.
+/// log-scaled histogram of AnswerBatch() wall times (obs::NowNanos), one
+/// observation per batch, so they are approximate to one power-of-two bucket.
 struct ServerStats {
   uint64_t queries = 0;       ///< answered successfully
-  uint64_t invalid = 0;       ///< rejected by validation
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t p50_ns = 0;        ///< median per-query latency (bucket upper bound)
-  uint64_t p99_ns = 0;        ///< 99th percentile per-query latency
-
-  double hit_rate() const {
-    const uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0 : static_cast<double>(cache_hits) / total;
-  }
+  uint64_t invalid = 0;       ///< batches rejected by validation
+  uint64_t p50_ns = 0;        ///< median batch latency (bucket upper bound)
+  uint64_t p99_ns = 0;        ///< 99th percentile batch latency
 
   /// Renders the stats as a small JSON object (used by the wire protocol).
   std::string ToJson() const;
@@ -54,11 +31,10 @@ struct ServerStats {
 /// Read-only range-query engine over one published snapshot.
 ///
 /// Answers are O(1) per query via the snapshot's 3-D prefix sums and are
-/// bit-identical to grid::PrefixSum3D::BoxSum over the sanitized matrix —
-/// cached or not, batched or not, at any thread count. Batches fan out on
-/// the stpt::exec pool. All methods are thread-safe; one generation of a
-/// SnapshotRegistry shard owns one engine, and the event-loop server's
-/// workers drive it concurrently.
+/// bit-identical to grid::PrefixSum3D::BoxSum over the sanitized matrix at
+/// any thread count. Batches fan out on the stpt::exec pool. All methods are
+/// thread-safe; one generation of a SnapshotRegistry shard owns one engine,
+/// and the event-loop server's workers drive it concurrently.
 ///
 /// Each engine owns a private obs::Registry (`stpt_serve_*` metrics) so that
 /// several engines in one process — or in one test — never mix counters;
@@ -67,13 +43,10 @@ struct ServerStats {
 class QueryServer {
  public:
   /// Loads a snapshot container from disk and builds the engine.
-  static StatusOr<QueryServer> Open(const std::string& snapshot_path,
-                                    const QueryServerOptions& options = {});
+  static StatusOr<QueryServer> Open(const std::string& snapshot_path);
 
   /// Builds the engine from an in-memory snapshot (no file round-trip).
-  /// Returns InvalidArgument if `options` is malformed (cache_shards < 1).
-  static StatusOr<QueryServer> Create(Snapshot snapshot,
-                                      const QueryServerOptions& options = {});
+  static StatusOr<QueryServer> Create(Snapshot snapshot);
 
   QueryServer(QueryServer&&) noexcept;
   QueryServer& operator=(QueryServer&&) noexcept;
@@ -82,13 +55,10 @@ class QueryServer {
   const grid::Dims& dims() const;
   const SnapshotMeta& meta() const;
 
-  /// Answers one query: validates bounds, consults the cache, computes the
-  /// range sum on miss. Returns InvalidArgument for out-of-range bounds.
-  StatusOr<double> Answer(const query::RangeQuery& q);
-
   /// Answers a batch in index order, in parallel on the exec pool. The
   /// whole batch is validated first; an invalid query fails the batch with
-  /// InvalidArgument naming the offending index.
+  /// InvalidArgument naming the offending index. Batches slower than 50 ms
+  /// are counted in stpt_serve_slow_batches_total and logged at warn level.
   StatusOr<QueryResponse> AnswerBatch(const query::Workload& batch);
 
   /// Names the shard this engine serves (tenant/tile/epoch). Set by the
@@ -100,9 +70,6 @@ class QueryServer {
 
   /// Snapshot of the serving counters.
   ServerStats stats() const;
-
-  /// Zeroes all counters and the latency histogram (not the cache).
-  void ResetStats();
 
   /// This engine's private metric registry (thread-safe; valid for the
   /// engine's lifetime). Exported by the `metrics` wire command and by

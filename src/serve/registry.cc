@@ -27,12 +27,6 @@ size_t ShardKeyHash::operator()(const ShardKey& k) const {
   return static_cast<size_t>(h);
 }
 
-/// The generation pointer is the RCU hot path: Route loads it with a
-/// single atomic shared_ptr load; Swap stores a freshly built generation.
-struct SnapshotRegistry::Shard {
-  std::atomic<std::shared_ptr<const ShardGeneration>> generation;
-};
-
 namespace {
 
 Status ValidateName(const char* what, const std::string& name) {
@@ -51,6 +45,12 @@ Status ValidateName(const char* what, const std::string& name) {
 Status ValidateKey(const ShardKey& key) {
   STPT_RETURN_IF_ERROR(ValidateName("tenant", key.tenant));
   return ValidateName("tile", key.tile);
+}
+
+StatusOr<std::shared_ptr<QueryServer>> BuildEngine(Snapshot snapshot) {
+  auto engine = QueryServer::Create(std::move(snapshot));
+  if (!engine.ok()) return engine.status();
+  return std::make_shared<QueryServer>(std::move(*engine));
 }
 
 /// Records the registry half of a traced admin chain (load or swap) when the
@@ -101,19 +101,8 @@ StatusOr<std::unique_ptr<SnapshotRegistry>> SnapshotRegistry::Create(
     return Status::InvalidArgument("registry: max_shards must be >= 1, got " +
                                    std::to_string(options.max_shards));
   }
-  if (options.engine_options.cache_shards < 1) {
-    return Status::InvalidArgument(
-        "registry: engine_options.cache_shards must be >= 1");
-  }
   return std::unique_ptr<SnapshotRegistry>(
       new SnapshotRegistry(std::move(options)));
-}
-
-StatusOr<std::shared_ptr<QueryServer>> SnapshotRegistry::BuildEngine(
-    Snapshot snapshot) const {
-  auto engine = QueryServer::Create(std::move(snapshot), options_.engine_options);
-  if (!engine.ok()) return engine.status();
-  return std::make_shared<QueryServer>(std::move(*engine));
 }
 
 StatusOr<uint64_t> SnapshotRegistry::Load(const ShardKey& key, Snapshot snapshot) {
@@ -139,11 +128,9 @@ StatusOr<uint64_t> SnapshotRegistry::Load(const ShardKey& key, Snapshot snapshot
   gen->epoch = 1;
   gen->engine = std::move(*engine);
   gen->engine->SetShardIdentity(key.tenant, key.tile, gen->epoch);
-  auto shard = std::make_shared<Shard>();
-  shard->generation.store(std::move(gen), std::memory_order_release);
   {
     std::unique_lock<std::shared_mutex> lock(map_mu_);
-    shards_.emplace(key, std::move(shard));
+    shards_.emplace(key, std::move(gen));
     shards_gauge_->Set(static_cast<double>(shards_.size()));
   }
   loads_->Increment();
@@ -162,31 +149,34 @@ StatusOr<uint64_t> SnapshotRegistry::Swap(const ShardKey& key, Snapshot snapshot
   STPT_RETURN_IF_ERROR(ValidateKey(key));
   std::lock_guard<std::mutex> admin(admin_mu_);
   const uint64_t start_ns = obs::NowNanos();
-  std::shared_ptr<Shard> shard;
+  uint64_t epoch = 0;
   {
+    // admin_mu_ keeps the shard loaded, and its epoch fixed, until the flip.
     std::shared_lock<std::shared_mutex> lock(map_mu_);
     auto it = shards_.find(key);
     if (it == shards_.end()) {
       return Status::NotFound("registry: shard '" + key.tenant + "/" + key.tile +
                               "' not loaded (use load)");
     }
-    shard = it->second;
+    epoch = it->second->epoch + 1;
   }
   // Build the replacement engine with no data-plane lock held; queries keep
   // flowing against the old generation the whole time.
   auto engine = BuildEngine(std::move(snapshot));
   if (!engine.ok()) return engine.status();
-  auto current = shard->generation.load(std::memory_order_acquire);
   auto gen = std::make_shared<ShardGeneration>();
   gen->key = key;
-  gen->epoch = current->epoch + 1;
+  gen->epoch = epoch;
   gen->engine = std::move(*engine);
-  gen->engine->SetShardIdentity(key.tenant, key.tile, gen->epoch);
-  const uint64_t epoch = gen->epoch;
-  // The RCU flip: one atomic store publishes the new generation. Batches
-  // that already captured `current` finish on it; its engine is destroyed
-  // when the last such reference drops.
-  shard->generation.store(std::move(gen), std::memory_order_release);
+  gen->engine->SetShardIdentity(key.tenant, key.tile, epoch);
+  // The RCU flip: one pointer exchange publishes the new generation. Batches
+  // that already captured the old one finish on it; its engine is destroyed,
+  // outside the lock, when the last such reference drops.
+  std::shared_ptr<const ShardGeneration> old;
+  {
+    std::unique_lock<std::shared_mutex> lock(map_mu_);
+    old = std::exchange(shards_.at(key), std::move(gen));
+  }
   swaps_->Increment();
   swap_latency_->Observe(static_cast<double>(obs::NowNanos() - start_ns));
   RecordAdminSpan("registry/swap", key, epoch, start_ns);
@@ -217,7 +207,7 @@ Status SnapshotRegistry::Unload(const ShardKey& key) {
 
 StatusOr<std::shared_ptr<const ShardGeneration>> SnapshotRegistry::Route(
     const std::string& tenant, const std::string& tile, uint64_t epoch) const {
-  std::shared_ptr<Shard> shard;
+  std::shared_ptr<const ShardGeneration> gen;
   {
     std::shared_lock<std::shared_mutex> lock(map_mu_);
     auto it = shards_.find(ShardKey{tenant, tile});
@@ -225,9 +215,8 @@ StatusOr<std::shared_ptr<const ShardGeneration>> SnapshotRegistry::Route(
       return Status::NotFound("registry: no shard for tenant '" + tenant +
                               "' tile '" + tile + "'");
     }
-    shard = it->second;
+    gen = it->second;
   }
-  auto gen = shard->generation.load(std::memory_order_acquire);
   if (epoch != 0 && epoch != gen->epoch) {
     return Status::NotFound("registry: epoch " + std::to_string(epoch) +
                             " of '" + tenant + "/" + tile +
@@ -238,16 +227,15 @@ StatusOr<std::shared_ptr<const ShardGeneration>> SnapshotRegistry::Route(
 }
 
 std::vector<ShardInfo> SnapshotRegistry::List() const {
-  std::vector<std::shared_ptr<Shard>> shards;
+  std::vector<std::shared_ptr<const ShardGeneration>> gens;
   {
     std::shared_lock<std::shared_mutex> lock(map_mu_);
-    shards.reserve(shards_.size());
-    for (const auto& [key, shard] : shards_) shards.push_back(shard);
+    gens.reserve(shards_.size());
+    for (const auto& [key, gen] : shards_) gens.push_back(gen);
   }
   std::vector<ShardInfo> out;
-  out.reserve(shards.size());
-  for (const auto& shard : shards) {
-    auto gen = shard->generation.load(std::memory_order_acquire);
+  out.reserve(gens.size());
+  for (const auto& gen : gens) {
     ShardInfo info;
     info.key = gen->key;
     info.epoch = gen->epoch;
@@ -308,12 +296,8 @@ std::string SnapshotRegistry::ToPrometheusText() const {
        [](const ShardInfo& i) { return i.epoch; });
   emit("stpt_shard_queries_total", "Queries answered per shard",
        [](const ShardInfo& i) { return i.stats.queries; });
-  emit("stpt_shard_invalid_total", "Queries rejected per shard",
+  emit("stpt_shard_invalid_total", "Query batches rejected per shard",
        [](const ShardInfo& i) { return i.stats.invalid; });
-  emit("stpt_shard_cache_hits_total", "Cache hits per shard",
-       [](const ShardInfo& i) { return i.stats.cache_hits; });
-  emit("stpt_shard_cache_misses_total", "Cache misses per shard",
-       [](const ShardInfo& i) { return i.stats.cache_misses; });
   return os.str();
 }
 

@@ -1,7 +1,6 @@
 #ifndef STPT_SERVE_REGISTRY_H_
 #define STPT_SERVE_REGISTRY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -71,8 +70,6 @@ struct ShardInfo {
 
 /// Validated by SnapshotRegistry::Create.
 struct SnapshotRegistryOptions {
-  /// Engine options applied to every generation the registry constructs.
-  QueryServerOptions engine_options;
   /// Hard cap on concurrently loaded shards; Load fails with
   /// ResourceExhausted beyond it.
   int max_shards = 1024;
@@ -85,14 +82,15 @@ struct SnapshotRegistryOptions {
 ///
 /// * The **admin plane** (Load/Swap/Unload) is serialized by a mutex and
 ///   may do file I/O. Swap builds the replacement engine *outside* any
-///   lock the data plane takes, then publishes it with a single atomic
-///   shared_ptr store — an RCU-style flip. No query is ever dropped or
-///   blocked by a swap: in-flight batches finish on the generation they
-///   captured, later batches see the new one.
-/// * The **data plane** (Route) takes a shared lock only to find the
-///   shard, then loads the generation pointer lock-free. All engine state
-///   (cache, counters) lives in the generation, so routing is wait-free
-///   with respect to other readers.
+///   lock the data plane takes, then publishes it by exchanging one
+///   shared_ptr under the map lock, held exclusively for that exchange
+///   alone — an RCU-style flip. No query is ever dropped by a swap:
+///   in-flight batches finish on the generation they captured, later
+///   batches see the new one.
+/// * The **data plane** (Route) takes a shared lock to find the shard and
+///   copy its generation pointer. All engine state (prefix table,
+///   counters) lives in the generation, so readers never wait on each
+///   other.
 ///
 /// The registry's own obs::Registry carries the admin/topology metrics
 /// (shard count, load/swap/unload counters, swap-latency histogram);
@@ -114,8 +112,8 @@ class SnapshotRegistry {
   StatusOr<uint64_t> LoadFile(const ShardKey& key, const std::string& path);
 
   /// Hot-swaps the current generation of an existing shard for `snapshot`,
-  /// returning the new epoch (previous + 1). The flip itself is a single
-  /// atomic store; concurrent queries are never dropped. Fails with
+  /// returning the new epoch (previous + 1). The flip itself is one
+  /// pointer exchange; concurrent queries are never dropped. Fails with
   /// NotFound if the shard is not loaded (use Load).
   StatusOr<uint64_t> Swap(const ShardKey& key, Snapshot snapshot);
   StatusOr<uint64_t> SwapFile(const ShardKey& key, const std::string& path);
@@ -155,15 +153,19 @@ class SnapshotRegistry {
   ~SnapshotRegistry();
 
  private:
-  struct Shard;
   explicit SnapshotRegistry(SnapshotRegistryOptions options);
-
-  StatusOr<std::shared_ptr<QueryServer>> BuildEngine(Snapshot snapshot) const;
 
   SnapshotRegistryOptions options_;
 
-  mutable std::shared_mutex map_mu_;  ///< guards shards_ topology only
-  std::unordered_map<ShardKey, std::shared_ptr<Shard>, ShardKeyHash> shards_;
+  /// Guards shards_: the topology and each shard's current generation. The
+  /// generation is a plain shared_ptr under this lock, not a
+  /// std::atomic<std::shared_ptr>: libstdc++ 12's atomic load releases its
+  /// lock bit with relaxed order, which ThreadSanitizer reports as a race
+  /// with Swap.
+  mutable std::shared_mutex map_mu_;
+  std::unordered_map<ShardKey, std::shared_ptr<const ShardGeneration>,
+                     ShardKeyHash>
+      shards_;
   std::mutex admin_mu_;  ///< serializes Load/Swap/Unload end to end
 
   mutable obs::Registry registry_;

@@ -335,78 +335,48 @@ TEST(QueryServerTest, AnswersBitIdenticalToDirectEvaluation) {
   const grid::PrefixSum3D direct(snap.sanitized);
   auto server = QueryServer::Create(snap);
   ASSERT_TRUE(server.ok());
-  for (const query::RangeQuery& q : MakeQueries(dims, 500, 11)) {
-    auto got = server->Answer(q);
-    ASSERT_TRUE(got.ok());
-    EXPECT_TRUE(
-        BitIdentical(*got, direct.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1)));
+  const query::Workload wl = MakeQueries(dims, 500, 11);
+  auto got = server->AnswerBatch(wl);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->size(), wl.size());
+  for (size_t i = 0; i < wl.size(); ++i) {
+    const query::RangeQuery& q = wl[i];
+    EXPECT_TRUE(BitIdentical((*got)[i],
+                             direct.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1)));
   }
 }
 
-TEST(QueryServerTest, CachedEqualsUncached) {
-  const grid::Dims dims{10, 10, 20};
-  const Snapshot snap = MakeTestSnapshot(dims, 5);
-  auto cached = QueryServer::Create(snap, {.cache_shards = 4, .cache_capacity = 1024});
-  auto uncached = QueryServer::Create(snap, {.cache_capacity = 0});
-  ASSERT_TRUE(cached.ok());
-  ASSERT_TRUE(uncached.ok());
-  const query::Workload wl = MakeQueries(dims, 300, 13);
-  // Two passes through the cached server: the second is served from the
-  // LRU and must still be bit-identical to the cache-free engine.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const query::RangeQuery& q : wl) {
-      auto a = cached->Answer(q);
-      auto b = uncached->Answer(q);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      EXPECT_TRUE(BitIdentical(*a, *b));
-    }
-  }
-  const ServerStats stats = cached->stats();
-  EXPECT_EQ(stats.queries, 600u);
-  EXPECT_GE(stats.cache_hits, 300u);  // second pass is all hits
-  EXPECT_GT(stats.hit_rate(), 0.49);
-  EXPECT_EQ(uncached->stats().cache_hits, 0u);
-}
-
-TEST(QueryServerTest, TinyCacheEvictsButStaysCorrect) {
-  const grid::Dims dims{8, 8, 16};
-  const Snapshot snap = MakeTestSnapshot(dims, 9);
-  const grid::PrefixSum3D direct(snap.sanitized);
-  auto server = QueryServer::Create(snap, {.cache_shards = 2, .cache_capacity = 8});
-  ASSERT_TRUE(server.ok());
-  for (const query::RangeQuery& q : MakeQueries(dims, 400, 17)) {
-    auto got = server->Answer(q);
-    ASSERT_TRUE(got.ok());
-    EXPECT_TRUE(
-        BitIdentical(*got, direct.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1)));
-  }
-}
-
-TEST(QueryServerTest, BatchMatchesSingleAnswers) {
+TEST(QueryServerTest, BatchIsBitIdenticalAtOneAndEightThreads) {
   const grid::Dims dims{9, 9, 25};
   const Snapshot snap = MakeTestSnapshot(dims, 21);
-  auto batch_server = QueryServer::Create(snap);
-  auto single_server = QueryServer::Create(snap);
-  ASSERT_TRUE(batch_server.ok());
-  ASSERT_TRUE(single_server.ok());
+  const grid::PrefixSum3D direct(snap.sanitized);
   const query::Workload wl = MakeQueries(dims, 257, 23);
-  auto batched = batch_server->AnswerBatch(wl);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  ASSERT_EQ(batched->size(), wl.size());
-  for (size_t i = 0; i < wl.size(); ++i) {
-    auto got = single_server->Answer(wl[i]);
-    ASSERT_TRUE(got.ok());
-    EXPECT_TRUE(BitIdentical((*batched)[i], *got));
+  const int prev_threads = exec::Threads();
+  for (const int threads : {1, 8}) {
+    // A fresh engine per thread count, so every answer is computed under
+    // the thread count being checked.
+    exec::SetThreads(threads);
+    auto server = QueryServer::Create(snap);
+    ASSERT_TRUE(server.ok());
+    auto batched = server->AnswerBatch(wl);
+    exec::SetThreads(prev_threads);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    ASSERT_EQ(batched->size(), wl.size());
+    for (size_t i = 0; i < wl.size(); ++i) {
+      const query::RangeQuery& q = wl[i];
+      EXPECT_TRUE(BitIdentical((*batched)[i],
+                               direct.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1)))
+          << "query " << i << " at " << threads << " threads";
+    }
   }
 }
 
 TEST(QueryServerTest, InvalidQueriesRejected) {
   auto server = QueryServer::Create(MakeTestSnapshot({5, 5, 5}));
   ASSERT_TRUE(server.ok());
-  EXPECT_FALSE(server->Answer({0, 5, 0, 0, 0, 0}).ok());  // x1 == cx
-  EXPECT_FALSE(server->Answer({2, 1, 0, 0, 0, 0}).ok());  // unordered
-  EXPECT_FALSE(server->Answer({0, 0, -1, 0, 0, 0}).ok());
+  EXPECT_FALSE(server->AnswerBatch({{0, 5, 0, 0, 0, 0}}).ok());  // x1 == cx
+  EXPECT_FALSE(server->AnswerBatch({{2, 1, 0, 0, 0, 0}}).ok());  // unordered
+  EXPECT_FALSE(server->AnswerBatch({{0, 0, -1, 0, 0, 0}}).ok());
 
   auto batched = server->AnswerBatch({{0, 0, 0, 0, 0, 0}, {0, 9, 0, 0, 0, 0}});
   ASSERT_FALSE(batched.ok());
@@ -414,29 +384,15 @@ TEST(QueryServerTest, InvalidQueriesRejected) {
   EXPECT_EQ(server->stats().invalid, 4u);
 }
 
-TEST(QueryServerTest, CreateRejectsInvalidOptions) {
-  const Snapshot snap = MakeTestSnapshot({4, 4, 4});
-  auto server = QueryServer::Create(snap, {.cache_shards = 0});
-  ASSERT_FALSE(server.ok());
-  EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(QueryServer::Create(snap, {.cache_shards = -3}).ok());
-}
-
 TEST(QueryServerTest, StatsTrackLatencyAndResetClears) {
   auto server = QueryServer::Create(MakeTestSnapshot({6, 6, 12}));
   ASSERT_TRUE(server.ok());
-  for (const query::RangeQuery& q : MakeQueries({6, 6, 12}, 100, 31)) {
-    ASSERT_TRUE(server->Answer(q).ok());
-  }
-  ServerStats stats = server->stats();
+  ASSERT_TRUE(server->AnswerBatch(MakeQueries({6, 6, 12}, 100, 31)).ok());
+  const ServerStats stats = server->stats();
   EXPECT_EQ(stats.queries, 100u);
   EXPECT_GT(stats.p50_ns, 0u);
   EXPECT_GE(stats.p99_ns, stats.p50_ns);
   EXPECT_NE(stats.ToJson().find("\"queries\": 100"), std::string::npos);
-  server->ResetStats();
-  stats = server->stats();
-  EXPECT_EQ(stats.queries, 0u);
-  EXPECT_EQ(stats.p99_ns, 0u);
 }
 
 TEST(QueryServerTest, OpenFromDiskServesLoadedPrefixSums) {
@@ -449,11 +405,14 @@ TEST(QueryServerTest, OpenFromDiskServesLoadedPrefixSums) {
   EXPECT_EQ(server->dims(), dims);
   EXPECT_EQ(server->meta().algorithm, "stpt");
   const grid::PrefixSum3D direct(snap.sanitized);
-  for (const query::RangeQuery& q : MakeQueries(dims, 200, 41)) {
-    auto got = server->Answer(q);
-    ASSERT_TRUE(got.ok());
-    EXPECT_TRUE(
-        BitIdentical(*got, direct.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1)));
+  const query::Workload wl = MakeQueries(dims, 200, 41);
+  auto got = server->AnswerBatch(wl);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->size(), wl.size());
+  for (size_t i = 0; i < wl.size(); ++i) {
+    const query::RangeQuery& q = wl[i];
+    EXPECT_TRUE(BitIdentical((*got)[i],
+                             direct.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1)));
   }
 }
 
@@ -790,9 +749,9 @@ TEST(RegistryTest, LoadRouteSwapUnloadLifecycle) {
   ASSERT_TRUE(gen.ok());
   EXPECT_EQ((*gen)->epoch, 1u);
   const query::RangeQuery q{0, 3, 1, 4, 2, 7};
-  auto a = (*gen)->engine->Answer(q);
+  auto a = (*gen)->engine->AnswerBatch({q});
   ASSERT_TRUE(a.ok());
-  EXPECT_TRUE(BitIdentical(*a, direct_a.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1)));
+  EXPECT_TRUE(BitIdentical((*a)[0], direct_a.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1)));
 
   auto swapped = (*registry)->Swap(key, snap_b);
   ASSERT_TRUE(swapped.ok());
@@ -800,9 +759,9 @@ TEST(RegistryTest, LoadRouteSwapUnloadLifecycle) {
   auto gen2 = (*registry)->Route("acme", "0");
   ASSERT_TRUE(gen2.ok());
   EXPECT_EQ((*gen2)->epoch, 2u);
-  auto b = (*gen2)->engine->Answer(q);
+  auto b = (*gen2)->engine->AnswerBatch({q});
   ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(BitIdentical(*b, direct_b.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1)));
+  EXPECT_TRUE(BitIdentical((*b)[0], direct_b.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1)));
 
   // Explicit-epoch routing: current matches, swapped-out epochs are gone.
   EXPECT_TRUE((*registry)->Route("acme", "0", 2).ok());
@@ -832,10 +791,10 @@ TEST(RegistryTest, InFlightGenerationSurvivesSwapAndUnload) {
   ASSERT_TRUE((*registry)->Swap(key, MakeTestSnapshot(dims, 32)).ok());
   ASSERT_TRUE((*registry)->Unload(key).ok());
   const query::RangeQuery q{1, 4, 0, 5, 2, 6};
-  auto answer = (*held)->engine->Answer(q);
+  auto answer = (*held)->engine->AnswerBatch({q});
   ASSERT_TRUE(answer.ok());
   EXPECT_TRUE(BitIdentical(
-      *answer, direct_a.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1)));
+      (*answer)[0], direct_a.BoxSum(q.x0, q.x1, q.y0, q.y1, q.t0, q.t1)));
   EXPECT_EQ((*held)->epoch, 1u);
 }
 
@@ -1056,7 +1015,7 @@ TEST_F(LoopbackTest, MetaStatsAndServerSideValidation) {
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("\"queries\""), std::string::npos);
-  EXPECT_NE(stats->find("\"cache_hit_rate\""), std::string::npos);
+  EXPECT_NE(stats->find("\"p50_ns\""), std::string::npos);
   EXPECT_NE(stats->find("\"registry\""), std::string::npos);
 }
 
@@ -1623,8 +1582,8 @@ TEST(EventLoopServerTest, CreateRejectsInvalidOptions) {
 }
 
 /// Runs the same batched workload through a loopback server at `threads`
-/// exec threads and requires the cache counters reported by the `metrics`
-/// wire command to exactly match the default shard's `stats` counters.
+/// exec threads and requires the counters reported by the `metrics` wire
+/// command to exactly match the default shard's `stats` counters.
 void RunMetricsMatchesStats(int threads) {
   const int prev_threads = exec::Threads();
   exec::SetThreads(threads);
@@ -1641,7 +1600,7 @@ void RunMetricsMatchesStats(int threads) {
   auto client = Client::Connect("127.0.0.1", (*server)->port());
   ASSERT_TRUE(client.ok());
   const query::Workload wl = MakeQueries(dims, 256, 67);
-  // Two identical passes: the second one is cache-hot.
+  // Two identical passes, so the counters cover more than one batch.
   for (int pass = 0; pass < 2; ++pass) {
     auto answers = client->QueryTenant("", "", wl);
     ASSERT_TRUE(answers.ok()) << answers.status().ToString();
@@ -1656,13 +1615,10 @@ void RunMetricsMatchesStats(int threads) {
   EXPECT_EQ(stats.queries, 512u);
   EXPECT_EQ(PrometheusValue(*text, "stpt_serve_queries_total"),
             static_cast<double>(stats.queries));
-  EXPECT_EQ(PrometheusValue(*text, "stpt_serve_cache_hits_total"),
-            static_cast<double>(stats.cache_hits));
-  EXPECT_EQ(PrometheusValue(*text, "stpt_serve_cache_misses_total"),
-            static_cast<double>(stats.cache_misses));
+  EXPECT_EQ(PrometheusValue(*text, "stpt_serve_batches_total"), 2.0);
   // The payload also carries the event-loop, registry, and process-global
   // registries.
-  EXPECT_NE(text->find("# TYPE stpt_serve_query_latency_ns histogram"),
+  EXPECT_NE(text->find("# TYPE stpt_serve_batch_latency_ns histogram"),
             std::string::npos);
   EXPECT_NE(text->find("stpt_serve_dispatches_total"), std::string::npos);
   EXPECT_NE(text->find("stpt_registry_shards 1"), std::string::npos);
@@ -1687,7 +1643,7 @@ TEST(MetricsExportTest, RegistriesArePerEngineInstance) {
   auto b = QueryServer::Create(snap);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  ASSERT_TRUE(a->Answer({0, 1, 0, 1, 0, 1}).ok());
+  ASSERT_TRUE(a->AnswerBatch({{0, 1, 0, 1, 0, 1}}).ok());
   EXPECT_EQ(a->stats().queries, 1u);
   EXPECT_EQ(b->stats().queries, 0u);
   EXPECT_NE(a->metrics().ToPrometheusText().find("stpt_serve_queries_total 1"),

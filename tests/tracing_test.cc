@@ -8,6 +8,7 @@
 // published releases with tracing on vs off at 1 and 8 exec threads.
 
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -521,11 +522,19 @@ TEST_F(TraceLoopbackTest, SampledQueryRecordsTheFullSpanChain) {
       json->find("\"parent_span_id\":\"" + obs::SpanIdHex(ctx.span_id) + "\""),
       std::string::npos);
 
-  // The engine's latency histogram picked up an exemplar for this trace.
+  // The engine's batch-latency histogram picked up an exemplar for this
+  // trace. The RED latency family carries the same id, so only the engine's
+  // own bucket lines count.
   auto metrics = client->Metrics();
   ASSERT_TRUE(metrics.ok());
-  EXPECT_NE(metrics->find("# {trace_id=\"" + obs::TraceIdHex(ctx) + "\"}"),
-            std::string::npos);
+  const std::string exemplar = "# {trace_id=\"" + obs::TraceIdHex(ctx) + "\"}";
+  bool engine_exemplar = false;
+  std::istringstream lines(*metrics);
+  for (std::string line; std::getline(lines, line);) {
+    engine_exemplar |= line.starts_with("stpt_serve_batch_latency_ns_bucket") &&
+                       line.find(exemplar) != std::string::npos;
+  }
+  EXPECT_TRUE(engine_exemplar) << *metrics;
   // The RED families saw the request, labeled by the default shard.
   EXPECT_NE(metrics->find("stpt_tenant_requests_total{tenant=\"default\","
                           "tile=\"0\"} 1"),

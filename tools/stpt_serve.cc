@@ -331,12 +331,10 @@ int RunServe(const FlagSet& flags) {
   (*server)->Stop();
   for (const auto& shard : (*registry)->List()) {
     std::printf(
-        "shard %s/%s epoch %llu: served %llu queries, cache hit rate %.1f%%, "
-        "p99 %.1f us\n",
+        "shard %s/%s epoch %llu: served %llu queries, batch p99 %.1f us\n",
         shard.key.tenant.c_str(), shard.key.tile.c_str(),
         static_cast<unsigned long long>(shard.epoch),
         static_cast<unsigned long long>(shard.stats.queries),
-        100.0 * shard.stats.hit_rate(),
         static_cast<double>(shard.stats.p99_ns) * 1e-3);
   }
   return 0;
