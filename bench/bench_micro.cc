@@ -87,9 +87,10 @@ void BM_PrefixSumQuery(benchmark::State& state) {
 BENCHMARK(BM_PrefixSumQuery);
 
 // The .stpt container codec at the ingest publish shape (32x32 grid,
-// 168-slice ring, 2.75 MB): the encode every epoch runs, the decode of a
-// registry load or swap, and the CRC-32 that both of them and every WAL
-// frame run.
+// 168-slice ring, 1.38 MB): the encode every epoch runs, the decode of a
+// registry load or swap (which includes rebuilding the prefix table the
+// container does not store), and the CRC-32 that both of them and every
+// WAL frame run.
 serve::Snapshot DeployedSnapshot() {
   serve::SnapshotMeta meta;
   meta.algorithm = "stream-w-event";

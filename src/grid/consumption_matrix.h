@@ -96,9 +96,11 @@ class PrefixSum3D {
                        const kernels::Backend* backend = nullptr);
 
   /// Adopts precomputed inclusive prefix sums in the canonical (x, y, t)
-  /// row-major layout — the exact vector a prior build's raw() returned.
-  /// Used by stpt::serve to load a published snapshot without an O(N)
-  /// rebuild. Returns InvalidArgument when the size does not match dims.
+  /// row-major layout — the exact vector a prior build's raw() returned,
+  /// such as a decoded serve::Snapshot's table (rebuilt from its release on
+  /// decode) or the ingest pipeline's incrementally maintained one. Adopting
+  /// moves the table in, with no second O(N) scan. Returns InvalidArgument
+  /// when the size does not match dims.
   static StatusOr<PrefixSum3D> FromRaw(Dims dims, std::vector<double> prefix);
 
   /// Sum over the inclusive box [x0,x1] × [y0,y1] × [t0,t1].
@@ -107,7 +109,7 @@ class PrefixSum3D {
 
   const Dims& dims() const { return dims_; }
 
-  /// The raw inclusive prefix table, (x, y, t) row-major (for persistence).
+  /// The raw inclusive prefix table, (x, y, t) row-major.
   const std::vector<double>& raw() const { return pre_; }
 
  private:

@@ -681,8 +681,25 @@ Status IngestPipeline::RecoverShardLog(const std::string& wal_path,
   }
   std::optional<std::string> old_snapshot;
   if (!snapshot_dir.empty() && last_marked_seq > 0) {
-    old_snapshot = ReadFileBytes(
-        ShardSnapshotPath(snapshot_dir, tenant, tile, last_marked_seq));
+    const std::string path =
+        ShardSnapshotPath(snapshot_dir, tenant, tile, last_marked_seq);
+    old_snapshot = ReadFileBytes(path);
+    // Replay rewrites that container in this build's format, so one of
+    // another version could never compare equal and would be lost. Refuse
+    // before the shard opens its sinks, leaving every file as it was.
+    const uint32_t version =
+        old_snapshot.has_value()
+            ? serve::SnapshotVersion(
+                  reinterpret_cast<const uint8_t*>(old_snapshot->data()),
+                  old_snapshot->size())
+            : 0;
+    if (version != 0 && version != serve::kSnapshotVersion) {
+      return Status::FailedPrecondition(
+          "ingest recover: '" + path + "' is container format version " +
+          std::to_string(version) + ", this build writes version " +
+          std::to_string(serve::kSnapshotVersion) +
+          "; replaying would overwrite it");
+    }
   }
 
   Shard* shard = FindShard(tenant, tile, /*create=*/true);

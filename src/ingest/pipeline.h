@@ -164,8 +164,10 @@ class IngestPipeline final : public serve::IngestSink {
   /// be a prefix-match of the on-disk JSONL at `ledger_path` (a torn
   /// publish may have charged without reaching its marker, so the old
   /// ledger may run longer), and the re-written last container must equal
-  /// the bytes previously at `snapshot_dir` when both exist. Call after
-  /// Create and before serving; no-op when wal_dir is empty.
+  /// the bytes previously at `snapshot_dir` when both exist. A last
+  /// container of another format version fails FailedPrecondition before
+  /// replay, with no file touched. Call after Create and before serving;
+  /// no-op when wal_dir is empty.
   Status Recover(const std::string& snapshot_dir,
                  const std::string& ledger_path);
 

@@ -24,13 +24,13 @@ constexpr uint64_t kMaxCells = uint64_t{1} << 33;  // 64 GiB of doubles
 constexpr uint32_t kMaxAlgorithmLen = 256;
 
 // Fixed fields of the layout: magic, version, dims, algorithm-name length,
-// five f64 metadata fields, t_train, both section counts and the CRC.
-constexpr size_t kFixedBytes = 4 + 4 + 12 + 4 + 40 + 4 + 8 + 8 + 4;
+// five f64 metadata fields, t_train, the cell count and the CRC.
+constexpr size_t kFixedBytes = 4 + 4 + 12 + 4 + 40 + 4 + 8 + 4;
 
 // --- little-endian primitives ----------------------------------------------
 //
 // Scalar fields are composed byte by byte, so they are host-endianness
-// independent. The two f64 sections are copied in bulk on little-endian
+// independent. The f64 matrix section is copied in bulk on little-endian
 // hosts, where the in-memory doubles already are the container bytes.
 
 /// Sequential writer into a buffer sized up front by EncodeSnapshot.
@@ -197,8 +197,7 @@ std::vector<uint8_t> EncodeSnapshot(const Snapshot& snapshot) {
   const grid::Dims& dims = snapshot.sanitized.dims();
   const std::string& algo = snapshot.meta.algorithm;
   const std::vector<double>& cells = snapshot.sanitized.data();
-  std::vector<uint8_t> out(kFixedBytes + algo.size() +
-                           sizeof(double) * (cells.size() + snapshot.prefix.size()));
+  std::vector<uint8_t> out(kFixedBytes + algo.size() + sizeof(double) * cells.size());
   Writer w(out.data());
   w.Bytes(kMagic.data(), kMagic.size());
   w.U32(kSnapshotVersion);
@@ -215,8 +214,6 @@ std::vector<uint8_t> EncodeSnapshot(const Snapshot& snapshot) {
   w.I32(snapshot.meta.t_train);
   w.U64(cells.size());
   w.F64Array(cells);
-  w.U64(snapshot.prefix.size());
-  w.F64Array(snapshot.prefix);
   w.U32(Crc32(out.data(), out.size() - 4));
   return out;
 }
@@ -245,7 +242,8 @@ StatusOr<Snapshot> DecodeSnapshot(const uint8_t* data, size_t size) {
   if (!cur.ReadU32(&version)) return Truncated();
   if (version != kSnapshotVersion) {
     return Status::InvalidArgument("snapshot: unsupported format version " +
-                                   std::to_string(version));
+                                   std::to_string(version) + " (this build reads version " +
+                                   std::to_string(kSnapshotVersion) + ")");
   }
 
   grid::Dims dims;
@@ -278,30 +276,35 @@ StatusOr<Snapshot> DecodeSnapshot(const uint8_t* data, size_t size) {
   if (cells != dims.NumCells()) {
     return Status::InvalidArgument("snapshot: cell count does not match dims");
   }
-  // The matrix and prefix sections must still be present: 8 bytes per cell
-  // each plus the prefix-count word. Checking before allocating bounds the
-  // allocation by the container's actual size, so a tiny file with a huge
-  // (CRC-valid) header cannot drive a multi-GiB allocation.
-  if (cur.remaining() < 16 * cells + 8) return Truncated();
+  // The matrix section must still be present: 8 bytes per cell. Checking
+  // before allocating bounds the allocation (and the prefix rebuild) by the
+  // container's actual size, so a tiny file with a huge (CRC-valid) header
+  // cannot drive a multi-GiB allocation.
+  if (cur.remaining() < 8 * cells) return Truncated();
   auto matrix = grid::ConsumptionMatrix::Create(dims);
   if (!matrix.ok()) return matrix.status();
   snap.sanitized = std::move(*matrix);
   if (!cur.ReadF64Array(snap.sanitized.mutable_data().data(), cells)) {
     return Truncated();
   }
-
-  uint64_t prefix_count = 0;
-  if (!cur.ReadU64(&prefix_count)) return Truncated();
-  if (prefix_count != cells) {
-    return Status::InvalidArgument("snapshot: prefix count does not match dims");
-  }
-  snap.prefix.resize(prefix_count);
-  if (!cur.ReadF64Array(snap.prefix.data(), prefix_count)) return Truncated();
-
   if (cur.remaining() != 0) {
     return Status::InvalidArgument("snapshot: trailing bytes after container");
   }
+  // The same backend scans IncrementalPrefix is bit-identical to, so a
+  // loaded table equals the one the publishing shard served.
+  snap.prefix = grid::PrefixSum3D(snap.sanitized).raw();
   return snap;
+}
+
+uint32_t SnapshotVersion(const uint8_t* data, size_t size) {
+  Cursor cur(data, size);
+  std::array<char, 4> magic;
+  uint32_t version = 0;
+  if (!cur.ReadBytes(magic.data(), magic.size()) || magic != kMagic ||
+      !cur.ReadU32(&version)) {
+    return 0;
+  }
+  return version;
 }
 
 Status WriteSnapshot(const Snapshot& snapshot, const std::string& path) {

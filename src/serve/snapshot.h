@@ -31,9 +31,10 @@ struct SnapshotMeta {
 /// persisted once by the data owner and then served read-only.
 ///
 /// `prefix` is the inclusive 3-D prefix-sum table of `sanitized` in the
-/// same (x, y, t) row-major layout (`grid::PrefixSum3D::raw()`), stored so
-/// that a server can start answering O(1) range sums without an O(N)
-/// rebuild on load.
+/// same (x, y, t) row-major layout (`grid::PrefixSum3D::raw()`), the table
+/// a server answers O(1) range sums from. It is rebuilt on decode, never
+/// stored: the container holds the release alone, so a loaded table is a
+/// sum of its release by construction.
 struct Snapshot {
   SnapshotMeta meta;
   grid::ConsumptionMatrix sanitized;
@@ -51,7 +52,7 @@ struct Snapshot {
 ///
 ///   offset  size  field
 ///   0       4     magic "STPT"
-///   4       4     u32 format version (currently 1)
+///   4       4     u32 format version (currently 2)
 ///   8       12    i32 cx, cy, ct
 ///   20      4     u32 algorithm-name length L
 ///   24      L     algorithm name bytes (UTF-8, no terminator)
@@ -60,16 +61,17 @@ struct Snapshot {
 ///   .       4     i32 t_train
 ///   .       8     u64 cell count N (must equal cx*cy*ct)
 ///   .       8N    f64 sanitized matrix, (x, y, t) row-major
-///   .       8     u64 prefix count (must equal N)
-///   .       8N    f64 inclusive 3-D prefix sums, same layout
 ///   .       4     u32 CRC-32 (IEEE 802.3) of every preceding byte
 ///
 /// Readers validate magic, version, bounds, the CRC, and the dimension /
 /// count invariants; any violation — truncation, bit corruption, a short
 /// write — yields a non-OK Status, never a crash or a partial snapshot.
+/// Only then does decode rebuild `Snapshot::prefix` from the release. Any
+/// other version is rejected by number, version 1 (which also stored the
+/// prefix table after the matrix) included.
 
 /// Current container format version.
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 /// Conventional file extension for snapshot containers.
 inline constexpr const char* kSnapshotExtension = ".stpt";
@@ -78,12 +80,18 @@ inline constexpr const char* kSnapshotExtension = ".stpt";
 /// Exposed for tests and for wire-level integrity checks.
 uint32_t Crc32(const void* data, size_t n);
 
-/// Serializes a snapshot to the container format.
+/// Serializes a snapshot to the container format. `snapshot.prefix` is
+/// not written.
 std::vector<uint8_t> EncodeSnapshot(const Snapshot& snapshot);
 
-/// Parses a container. Returns InvalidArgument on malformed or truncated
-/// input and FailedPrecondition ("checksum mismatch") on CRC failure.
+/// Parses a container and rebuilds its prefix table. Returns
+/// InvalidArgument on malformed or truncated input or another format
+/// version, and FailedPrecondition ("checksum mismatch") on CRC failure.
 StatusOr<Snapshot> DecodeSnapshot(const uint8_t* data, size_t size);
+
+/// The format version `data` declares after the "STPT" magic, or 0 when
+/// it is too short or the magic is wrong. Reads the header only.
+uint32_t SnapshotVersion(const uint8_t* data, size_t size);
 
 /// Writes the container to `path` (atomically via a sibling temp file, so a
 /// crashed writer never leaves a half-written snapshot at the final path).

@@ -27,6 +27,7 @@
 #include "ingest/incremental_prefix.h"
 #include "ingest/pipeline.h"
 #include "ingest/wal.h"
+#include "kernels/backend.h"
 #include "query/range_query.h"
 #include "serve/client.h"
 #include "serve/event_loop.h"
@@ -878,6 +879,70 @@ TEST(IngestRecoveryTest, KillAndRecoverBitwiseEightThreads) {
   KillAndRecoverBitwise(8, testing::TempDir() + "/ingest_rec_8");
 }
 
+TEST(IngestRecoveryTest, OlderContainerVersionFailsByNameAndTouchesNoFile) {
+  // A shard that died under the previous container format: replay would
+  // rewrite its last-marked container as v2, which can never equal the
+  // old bytes, and the evidence would be gone on the next start.
+  const std::string base = testing::TempDir() + "/ingest_rec_v1";
+  MakeRecoveryDirs(base);
+  const ingest::IngestOptions options = RecoveryOptions(base);
+  {
+    auto registry = serve::SnapshotRegistry::Create();
+    ASSERT_TRUE(registry.ok());
+    ingest::ManualClock clock;
+    auto pipeline =
+        ingest::IngestPipeline::Create(registry->get(), &clock, options);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    for (int t = 0; t < 6; ++t) {
+      EXPECT_EQ((*pipeline)->Apply(RecoveryBatch(options.dims, t)).rejected, 0u);
+    }
+  }
+  const std::string wal_path = options.wal_dir + "/default.0.wal";
+  auto records = ingest::Wal::ReadAll(wal_path);
+  ASSERT_TRUE(records.ok());
+  uint64_t last_seq = 0;
+  for (const ingest::Wal::Record& r : *records) {
+    if (r.type == ingest::Wal::RecordType::kEpochMark) last_seq = r.publish_seq;
+  }
+  ASSERT_GT(last_seq, 0u);
+  const std::string container = options.snapshot_dir + "/default.0.p" +
+                                std::to_string(last_seq) + ".stpt";
+
+  ASSERT_FALSE(ReadFileBytes(container).empty());
+
+  // Plant a CRC-valid v1 container at the last-marked path.
+  const auto seed = fuzz::LoadCorpus(
+      std::string(STPT_SOURCE_DIR) + "/fuzz/corpus/snapshot/seed-v1-rejected.stpt");
+  ASSERT_EQ(seed.size(), 1u);
+  const std::vector<uint8_t>& v1 = seed[0].bytes;
+  WriteFileBytes(container, v1);
+  const std::vector<uint8_t> ledger = ReadFileBytes(options.ledger_path);
+  const std::vector<uint8_t> wal = ReadFileBytes(wal_path);
+  ASSERT_FALSE(ledger.empty());
+
+  for (int start = 0; start < 2; ++start) {
+    auto registry = serve::SnapshotRegistry::Create();
+    ASSERT_TRUE(registry.ok());
+    ingest::ManualClock clock;
+    auto pipeline =
+        ingest::IngestPipeline::Create(registry->get(), &clock, options);
+    ASSERT_TRUE(pipeline.ok());
+    const Status recovered =
+        (*pipeline)->Recover(options.snapshot_dir, options.ledger_path);
+    ASSERT_FALSE(recovered.ok()) << "start " << start;
+    EXPECT_EQ(recovered.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(recovered.message().find("version 1"), std::string::npos)
+        << recovered.ToString();
+    EXPECT_NE(recovered.message().find("version 2"), std::string::npos)
+        << recovered.ToString();
+    // Every file is as the dead process left it, so a second start fails
+    // the same way.
+    EXPECT_EQ(ReadFileBytes(container), v1);
+    EXPECT_EQ(ReadFileBytes(options.ledger_path), ledger);
+    EXPECT_EQ(ReadFileBytes(wal_path), wal);
+  }
+}
+
 // ------------------------------- loopback --------------------------------
 
 class IngestLoopbackTest : public testing::Test {
@@ -985,6 +1050,78 @@ TEST_F(IngestLoopbackTest, FlushPublishesAndServedAnswersMatchContainer) {
   ASSERT_TRUE(metrics.ok());
   EXPECT_NE(metrics->find("stpt_ingest_epochs_total 1"), std::string::npos);
   EXPECT_NE(metrics->find("stpt_ingest_readings_total 120"), std::string::npos);
+}
+
+TEST_F(IngestLoopbackTest, ReloadedContainerAnswersLikeLiveShard) {
+  // The live shard serves the table IncrementalPrefix keeps; a reload of
+  // its newest container serves a rebuild from the stored release. They
+  // must answer bitwise alike, and alike at 1 and 8 threads on either
+  // backend.
+  ThreadGuard thread_guard;
+  const kernels::Backend* const default_backend = kernels::Default();
+  ingest::IngestOptions options;
+  options.dims = {6, 6, 10};
+  options.epoch_readings = 60;  // an epoch every two batches
+  options.unit_sensitivity = 5.0;
+  Rng rng(37);
+  auto wl = query::MakeWorkload(query::WorkloadKind::kRandom, options.dims,
+                                200, rng);
+  ASSERT_TRUE(wl.ok());
+  std::vector<double> reference;
+  for (const kernels::BackendKind kind :
+       {kernels::BackendKind::kNaive, kernels::BackendKind::kAvx2}) {
+    const kernels::Backend* backend = kernels::GetBackend(kind);
+    if (backend == nullptr) continue;  // CPU without AVX2
+    for (const int threads : {1, 8}) {
+      const std::string config = backend->name() + "/" + std::to_string(threads);
+      exec::SetThreads(threads);
+      kernels::SetDefault(backend);
+      options.snapshot_dir = testing::TempDir() + "/reload_" + backend->name() +
+                             "_" + std::to_string(threads);
+      ::mkdir(options.snapshot_dir.c_str(), 0755);
+      if (server_ != nullptr) server_->Stop();
+      server_.reset();  // the server uses the pipeline, which uses the registry
+      pipeline_.reset();
+      registry_.reset();
+      Start(options);
+
+      auto client = serve::Client::Connect("127.0.0.1", server_->port());
+      ASSERT_TRUE(client.ok());
+      for (int t = 0; t < 6; ++t) {
+        auto ack = client->Ingest(
+            "", "",
+            SliceReadings(options.dims, t, 30, 700 + static_cast<uint64_t>(t)));
+        ASSERT_TRUE(ack.ok());
+        EXPECT_EQ(ack->rejected, 0u);
+      }
+      auto flushed = client->Ingest("", "", {});
+      ASSERT_TRUE(flushed.ok());
+      // Several epochs, so the live table went through partial rescans.
+      ASSERT_GT(flushed->epoch, 2u) << config;
+      const std::string newest = options.snapshot_dir + "/default.0.p" +
+                                 std::to_string(flushed->epoch) + ".stpt";
+      ASSERT_TRUE(client->Load("reload", "0", newest).ok()) << config;
+
+      auto live = client->QueryTenant("", "", *wl);
+      auto reloaded = client->QueryTenant("reload", "0", *wl);
+      ASSERT_TRUE(live.ok());
+      ASSERT_TRUE(reloaded.ok());
+      EXPECT_EQ(live->epoch, flushed->epoch) << config;
+      ASSERT_EQ(live->answers.size(), wl->size());
+      ASSERT_EQ(reloaded->answers.size(), wl->size());
+      EXPECT_EQ(0, std::memcmp(live->answers.data(), reloaded->answers.data(),
+                               wl->size() * sizeof(double)))
+          << config;
+      if (reference.empty()) {
+        reference = live->answers;
+      } else {
+        EXPECT_EQ(0, std::memcmp(live->answers.data(), reference.data(),
+                                 wl->size() * sizeof(double)))
+            << config;
+      }
+    }
+  }
+  kernels::SetDefault(default_backend);
 }
 
 TEST_F(IngestLoopbackTest, HammerAcrossTenRepublishesZeroErrorsMonotoneEpoch) {

@@ -90,7 +90,10 @@ uint32_t ReferenceCrc32(const uint8_t* p, size_t n) {
 
 /// Field-by-field little-endian encoder of the layout documented in
 /// serve/snapshot.h: the reference the bulk codec must match byte for byte.
-std::vector<uint8_t> ReferenceEncode(const Snapshot& snap) {
+/// Version 1 also wrote the prefix table (count, then cells) after the
+/// matrix; it is kept to build the containers v2 readers must refuse.
+std::vector<uint8_t> ReferenceEncode(const Snapshot& snap,
+                                     uint32_t version = kSnapshotVersion) {
   std::vector<uint8_t> out;
   auto put_u32 = [&](uint32_t v) {
     for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
@@ -101,7 +104,7 @@ std::vector<uint8_t> ReferenceEncode(const Snapshot& snap) {
   };
   auto put_f64 = [&](double v) { put_u64(std::bit_cast<uint64_t>(v)); };
   for (char c : {'S', 'T', 'P', 'T'}) out.push_back(static_cast<uint8_t>(c));
-  put_u32(kSnapshotVersion);
+  put_u32(version);
   const grid::Dims& dims = snap.sanitized.dims();
   put_u32(static_cast<uint32_t>(dims.cx));
   put_u32(static_cast<uint32_t>(dims.cy));
@@ -116,13 +119,17 @@ std::vector<uint8_t> ReferenceEncode(const Snapshot& snap) {
   put_u32(static_cast<uint32_t>(snap.meta.t_train));
   put_u64(snap.sanitized.size());
   for (double v : snap.sanitized.data()) put_f64(v);
-  put_u64(snap.prefix.size());
-  for (double v : snap.prefix) put_f64(v);
+  if (version == 1) {
+    put_u64(snap.prefix.size());
+    for (double v : snap.prefix) put_f64(v);
+  }
   put_u32(ReferenceCrc32(out.data(), out.size()));
   return out;
 }
 
-/// Every field bit for bit, signed zeros and NaN payloads included.
+/// Every field bit for bit, signed zeros and NaN payloads included. The
+/// container stores no prefix table, so the decoded one must be exactly a
+/// from-scratch build over the decoded release.
 void ExpectSnapshotsBitIdentical(const Snapshot& got, const Snapshot& want) {
   EXPECT_EQ(got.meta.algorithm, want.meta.algorithm);
   EXPECT_EQ(got.meta.t_train, want.meta.t_train);
@@ -135,16 +142,17 @@ void ExpectSnapshotsBitIdentical(const Snapshot& got, const Snapshot& want) {
   ASSERT_EQ(got.sanitized.size(), want.sanitized.size());
   EXPECT_EQ(0, std::memcmp(got.sanitized.data().data(), want.sanitized.data().data(),
                            want.sanitized.size() * sizeof(double)));
-  ASSERT_EQ(got.prefix.size(), want.prefix.size());
-  EXPECT_EQ(0, std::memcmp(got.prefix.data(), want.prefix.data(),
-                           want.prefix.size() * sizeof(double)));
+  const std::vector<double> rebuilt = grid::PrefixSum3D(got.sanitized).raw();
+  ASSERT_EQ(got.prefix.size(), rebuilt.size());
+  EXPECT_EQ(0, std::memcmp(got.prefix.data(), rebuilt.data(),
+                           rebuilt.size() * sizeof(double)));
 }
 
 // --- Snapshot container ----------------------------------------------------
 
 TEST(SnapshotTest, EncodeDecodeBitIdentity) {
   // A small shape and the ingest publish shape (32x32 grid, 168-slice
-  // ring, 2.75 MB).
+  // ring, 1.38 MB).
   for (const grid::Dims dims : {grid::Dims{6, 5, 9}, grid::Dims{32, 32, 168}}) {
     const Snapshot snap = MakeTestSnapshot(dims);
     const std::vector<uint8_t> bytes = EncodeSnapshot(snap);
@@ -254,6 +262,23 @@ TEST(SnapshotTest, UnsupportedVersionRejected) {
   EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
 }
 
+TEST(SnapshotTest, V1ContainerRejectedByVersion) {
+  // A CRC-valid container of the previous format, which stored the prefix
+  // table after the release, built here and checked in as a corpus seed.
+  const std::vector<uint8_t> built = ReferenceEncode(MakeTestSnapshot(), 1);
+  const auto seed = fuzz::LoadCorpus(
+      std::string(STPT_SOURCE_DIR) + "/fuzz/corpus/snapshot/seed-v1-rejected.stpt");
+  ASSERT_EQ(seed.size(), 1u);
+  for (const std::vector<uint8_t>& bytes : {built, seed[0].bytes}) {
+    EXPECT_EQ(SnapshotVersion(bytes.data(), bytes.size()), 1u);
+    auto decoded = DecodeSnapshot(bytes.data(), bytes.size());
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find("format version 1"), std::string::npos)
+        << decoded.status().ToString();
+  }
+}
+
 TEST(SnapshotTest, MissingFileIsNotFound) {
   auto loaded = ReadSnapshot(testing::TempDir() + "/does-not-exist.stpt");
   ASSERT_FALSE(loaded.ok());
@@ -314,11 +339,7 @@ TEST(SnapshotTest, SpecialDoublesEncodeLikeFieldByFieldReference) {
   ASSERT_TRUE(matrix.ok());
   snap.sanitized = std::move(*matrix);
   std::vector<double>& cells = snap.sanitized.mutable_data();
-  snap.prefix.resize(cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    cells[i] = specials[i % kSpecials];
-    snap.prefix[i] = specials[(i + 3) % kSpecials];
-  }
+  for (size_t i = 0; i < cells.size(); ++i) cells[i] = specials[i % kSpecials];
 
   const std::vector<uint8_t> bytes = EncodeSnapshot(snap);
   EXPECT_EQ(bytes, ReferenceEncode(snap));

@@ -24,8 +24,8 @@
 // `publish` aggregates to day granularity, runs the chosen algorithm
 // (stpt, identity, fast, fourier10, fourier20, wavelet10, wavelet20,
 // lgan, wpo), and writes the sanitized test region. With --snapshot it
-// additionally emits a binary .stpt container (sanitized matrix + prefix
-// sums + privacy metadata) that stpt_serve answers range queries from.
+// additionally emits a binary .stpt container (sanitized matrix + privacy
+// metadata) that stpt_serve answers range queries from.
 
 #include <cstdio>
 #include <fstream>
