@@ -87,7 +87,8 @@ void BM_PrefixSumQuery(benchmark::State& state) {
 BENCHMARK(BM_PrefixSumQuery);
 
 // The .stpt container codec at the ingest publish shape (32x32 grid,
-// 168-slice ring, 1.38 MB): the encode every epoch runs, the decode of a
+// 168-slice ring, 1.38 MB): the encode (the header, release and CRC that
+// every epoch's container write streams to its file), the decode of a
 // registry load or swap (which includes rebuilding the prefix table the
 // container does not store), and the CRC-32 that both of them and every
 // WAL frame run.
@@ -126,6 +127,19 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes.size()));
 }
 BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
+
+// The one-pass min/max scan that gives every publish its container's
+// normalization extrema, at the same shape.
+void BM_MatrixExtrema(benchmark::State& state) {
+  const grid::ConsumptionMatrix m = RandomMatrix({32, 32, 168}, 13);
+  for (auto _ : state) {
+    const grid::ConsumptionMatrix::Extrema extrema = m.MinMax();
+    benchmark::DoNotOptimize(extrema);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(m.size() * sizeof(double)));
+}
+BENCHMARK(BM_MatrixExtrema)->Unit(benchmark::kMicrosecond);
 
 void BM_QuadtreeBuild(benchmark::State& state) {
   const auto m = RandomMatrix({32, 32, 220}, 8);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <new>
 #include <stdexcept>
@@ -9,6 +10,10 @@
 
 #include "exec/parallel.h"
 #include "kernels/backend.h"
+
+#if defined(__x86_64__)
+#include <emmintrin.h>
+#endif
 
 namespace stpt::grid {
 
@@ -53,6 +58,46 @@ double ConsumptionMatrix::MinValue() const {
 
 double ConsumptionMatrix::MaxValue() const {
   return *std::max_element(data_.begin(), data_.end());
+}
+
+ConsumptionMatrix::Extrema ConsumptionMatrix::MinMax() const {
+#if defined(__x86_64__)
+  // SSE2 lanes, two accumulators of each kind. minpd/maxpd settle a tie
+  // between +0 and -0, and a NaN, by operand order, not by position, so a
+  // lane result can differ in bits from the first-occurrence scan only when
+  // it is a zero or some element is a NaN. Those cases, and any infinity,
+  // take the scalar path below; otherwise equal values have equal bits.
+  const double* p = data_.data();
+  const size_t n = data_.size();
+  if (n >= 4) {
+    __m128d lo_a = _mm_loadu_pd(p);
+    __m128d lo_b = _mm_loadu_pd(p + 2);
+    __m128d hi_a = lo_a;
+    __m128d hi_b = lo_b;
+    __m128d nan = _mm_cmpunord_pd(lo_a, lo_b);
+    // The last step overlaps its predecessor when n is not a multiple of 4,
+    // which min and max do not mind.
+    for (size_t i = 4; i < n; i += 4) {
+      const double* q = p + std::min(i, n - 4);
+      const __m128d a = _mm_loadu_pd(q);
+      const __m128d b = _mm_loadu_pd(q + 2);
+      lo_a = _mm_min_pd(lo_a, a);
+      lo_b = _mm_min_pd(lo_b, b);
+      hi_a = _mm_max_pd(hi_a, a);
+      hi_b = _mm_max_pd(hi_b, b);
+      nan = _mm_or_pd(nan, _mm_cmpunord_pd(a, b));
+    }
+    const __m128d lo = _mm_min_pd(lo_a, lo_b);
+    const __m128d hi = _mm_max_pd(hi_a, hi_b);
+    const double min = std::min(_mm_cvtsd_f64(lo), _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo)));
+    const double max = std::max(_mm_cvtsd_f64(hi), _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)));
+    if (_mm_movemask_pd(nan) == 0 && std::isfinite(min) && std::isfinite(max) &&
+        min != 0.0 && max != 0.0) {
+      return {min, max};
+    }
+  }
+#endif
+  return {MinValue(), MaxValue()};
 }
 
 ConsumptionMatrix ConsumptionMatrix::Normalized() const {

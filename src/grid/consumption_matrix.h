@@ -56,9 +56,18 @@ class ConsumptionMatrix {
   /// Overwrites the pillar of cell (x, y). Series length must equal ct.
   Status SetPillar(int x, int y, const std::vector<double>& series);
 
-  /// Global extrema over all elements.
+  /// Global extrema over all elements: the first smallest and the first
+  /// largest element under `<`, as std::min_element / std::max_element
+  /// find them.
   double MinValue() const;
   double MaxValue() const;
+
+  struct Extrema {
+    double min;
+    double max;
+  };
+  /// MinValue() and MaxValue(), bit for bit, from one scan.
+  Extrema MinMax() const;
 
   /// Min-max normalises a copy of this matrix to [0, 1] (paper Eq. 6).
   /// If the matrix is constant, returns an all-zero matrix.

@@ -547,8 +547,9 @@ Status IngestPipeline::PublishLocked(Shard& shard, int64_t through) {
   snapshot.meta.eps_sanitize = snapshot.meta.eps_total;
   snapshot.sanitized = shard.sanitized->matrix();
   snapshot.prefix = shard.sanitized->prefix();
-  snapshot.meta.norm_min = snapshot.sanitized.MinValue();
-  snapshot.meta.norm_max = snapshot.sanitized.MaxValue();
+  const grid::ConsumptionMatrix::Extrema extrema = snapshot.sanitized.MinMax();
+  snapshot.meta.norm_min = extrema.min;
+  snapshot.meta.norm_max = extrema.max;
 
   ++shard.publish_seq;
   if (!options_.snapshot_dir.empty()) {

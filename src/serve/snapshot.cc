@@ -2,15 +2,25 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <new>
+#include <span>
 
 #include "grid/consumption_matrix.h"
+#include "serve/snapshot_internal.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define STPT_CRC32_CLMUL 1
+#endif
 
 namespace stpt::serve {
 namespace {
@@ -23,17 +33,20 @@ constexpr int64_t kMaxAxis = 1 << 20;
 constexpr uint64_t kMaxCells = uint64_t{1} << 33;  // 64 GiB of doubles
 constexpr uint32_t kMaxAlgorithmLen = 256;
 
-// Fixed fields of the layout: magic, version, dims, algorithm-name length,
-// five f64 metadata fields, t_train, the cell count and the CRC.
-constexpr size_t kFixedBytes = 4 + 4 + 12 + 4 + 40 + 4 + 8 + 4;
+// Fixed fields of the header: magic, version, dims, algorithm-name length,
+// five f64 metadata fields, t_train and the cell count.
+constexpr size_t kHeaderFixedBytes = 4 + 4 + 12 + 4 + 40 + 4 + 8;
+
+static_assert(internal::kMaxContainerBytes ==
+              kHeaderFixedBytes + 4 + kMaxAlgorithmLen + sizeof(double) * kMaxCells);
 
 // --- little-endian primitives ----------------------------------------------
 //
 // Scalar fields are composed byte by byte, so they are host-endianness
-// independent. The f64 matrix section is copied in bulk on little-endian
-// hosts, where the in-memory doubles already are the container bytes.
+// independent. On little-endian hosts the in-memory doubles already are the
+// f64 matrix section, which is then checksummed and written in place.
 
-/// Sequential writer into a buffer sized up front by EncodeSnapshot.
+/// Sequential writer into a buffer sized up front.
 class Writer {
  public:
   explicit Writer(uint8_t* out) : p_(out) {}
@@ -62,11 +75,7 @@ class Writer {
   void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
 
   void F64Array(const std::vector<double>& values) {
-    if constexpr (std::endian::native == std::endian::little) {
-      Bytes(values.data(), values.size() * sizeof(double));
-    } else {
-      for (double v : values) F64(v);
-    }
+    for (double v : values) F64(v);
   }
 
  private:
@@ -157,48 +166,115 @@ constexpr CrcTables MakeCrcTables() {
 
 constexpr CrcTables kCrcTables = MakeCrcTables();
 
-Status Truncated() {
-  return Status::InvalidArgument("snapshot: truncated container");
+#ifdef STPT_CRC32_CLMUL
+
+// --- CRC-32 by carry-less multiplication -------------------------------------
+//
+// Folding after Gopal et al., "Fast CRC Computation for Generic Polynomials
+// Using PCLMULQDQ Instruction" (Intel, 2009). A 16-byte block followed by d
+// bits of message enters the CRC only through block·x^d mod P, so it may be
+// replaced by the product of each of its 64-bit halves with a constant
+// x^k mod P, XORed into the block 128 or 512 bits later. Four lanes fold 64
+// bytes per step, then collapse into one 16-byte block, whose register the
+// table path computes from a zero register.
+
+/// x^n mod P as a reflected CRC-32 register, shifted one bit left because
+/// the carry-less product of two reflected operands comes out one bit short.
+constexpr int64_t FoldConstant(int n) {
+  uint32_t r = 0x80000000u;  // x^0
+  for (int i = 0; i < n; ++i) r = (r & 1) ? 0xEDB88320u ^ (r >> 1) : r >> 1;
+  return static_cast<int64_t>(uint64_t{r} << 1);
 }
 
-}  // namespace
+// Folding a block m blocks forward multiplies its low (earlier) half by
+// x^(128m+32) mod P and its high half by x^(128m-32) mod P.
+constexpr int64_t kFold4Low = FoldConstant(4 * 128 + 32);
+constexpr int64_t kFold4High = FoldConstant(4 * 128 - 32);
+constexpr int64_t kFold1Low = FoldConstant(128 + 32);
+constexpr int64_t kFold1High = FoldConstant(128 - 32);
 
-uint32_t Crc32(const void* data, size_t n) {
-  // Slice-by-16: kCrcTables[0] is the classic byte-at-a-time table of the
-  // IEEE 802.3 reflected polynomial, and kCrcTables[k] carries a byte's
-  // entry through k further zero bytes, so one step folds 16 input bytes
-  // with 16 independent lookups. Indexing by byte keeps it endian-independent.
-  const auto& t = kCrcTables;
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = 0xFFFFFFFFu;
-  for (; n >= 16; n -= 16, p += 16) {
-    crc = t[15][(p[0] ^ crc) & 0xFF] ^ t[14][(p[1] ^ (crc >> 8)) & 0xFF] ^
-          t[13][(p[2] ^ (crc >> 16)) & 0xFF] ^ t[12][p[3] ^ (crc >> 24)] ^
-          t[11][p[4]] ^ t[10][p[5]] ^ t[9][p[6]] ^ t[8][p[7]] ^
-          t[7][p[8]] ^ t[6][p[9]] ^ t[5][p[10]] ^ t[4][p[11]] ^
-          t[3][p[12]] ^ t[2][p[13]] ^ t[1][p[14]] ^ t[0][p[15]];
+inline __m128i Load16(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// Moves block x forward by the distance `k` encodes: its low half times
+/// k's low constant, XOR its high half times k's high constant.
+__attribute__((target("pclmul"))) inline __m128i Fold(__m128i x, __m128i k) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                       _mm_clmulepi64_si128(x, k, 0x11));
+}
+
+__attribute__((target("pclmul"))) uint32_t Crc32UpdateFolding(
+    uint32_t crc, const uint8_t* p, size_t n) {
+  if (n >= 64) {
+    // The register enters as an XOR into the first four message bytes.
+    __m128i x0 = _mm_xor_si128(Load16(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+    __m128i x1 = Load16(p + 16);
+    __m128i x2 = Load16(p + 32);
+    __m128i x3 = Load16(p + 48);
+    p += 64;
+    n -= 64;
+    const __m128i by64 = _mm_set_epi64x(kFold4High, kFold4Low);
+    for (; n >= 64; p += 64, n -= 64) {
+      x0 = _mm_xor_si128(Fold(x0, by64), Load16(p));
+      x1 = _mm_xor_si128(Fold(x1, by64), Load16(p + 16));
+      x2 = _mm_xor_si128(Fold(x2, by64), Load16(p + 32));
+      x3 = _mm_xor_si128(Fold(x3, by64), Load16(p + 48));
+    }
+    const __m128i by16 = _mm_set_epi64x(kFold1High, kFold1Low);
+    __m128i x = _mm_xor_si128(Fold(x0, by16), x1);
+    x = _mm_xor_si128(Fold(x, by16), x2);
+    x = _mm_xor_si128(Fold(x, by16), x3);
+    for (; n >= 16; p += 16, n -= 16) x = _mm_xor_si128(Fold(x, by16), Load16(p));
+    std::array<uint8_t, 16> block;
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(block.data()), x);
+    crc = internal::Crc32UpdateSlice16(0, block.data(), block.size());
   }
-  for (; n > 0; --n, ++p) crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
+  return internal::Crc32UpdateSlice16(crc, p, n);
 }
 
-Snapshot Snapshot::FromMatrix(const grid::ConsumptionMatrix& sanitized,
-                              SnapshotMeta meta) {
-  Snapshot snap;
-  meta.norm_min = sanitized.MinValue();
-  meta.norm_max = sanitized.MaxValue();
-  snap.meta = std::move(meta);
-  snap.sanitized = sanitized;
-  snap.prefix = grid::PrefixSum3D(sanitized).raw();
-  return snap;
+#endif  // STPT_CRC32_CLMUL
+
+/// Folds `n` bytes into the CRC register `crc` on the path chosen once per
+/// process: the folding path where the CPU has it, else slice-by-16.
+uint32_t Crc32Update(uint32_t crc, const uint8_t* p, size_t n) {
+  static const internal::Crc32UpdateFn update = internal::Crc32UpdateClmul() != nullptr
+                                                    ? internal::Crc32UpdateClmul()
+                                                    : &internal::Crc32UpdateSlice16;
+  return update(crc, p, n);
 }
 
-std::vector<uint8_t> EncodeSnapshot(const Snapshot& snapshot) {
+/// A container in the three pieces it is written from, in file order: the
+/// header (every field before the f64 release section), the release section
+/// and the CRC-32 trailer. The CRC folds over each piece where it lies. On
+/// little-endian hosts the release section is the matrix's own storage, so
+/// nothing is staged; big-endian hosts, whose in-memory doubles are not the
+/// container bytes, encode a copy. A Container must not outlive the
+/// snapshot it was built from.
+class Container {
+ public:
+  explicit Container(const Snapshot& snapshot);
+  Container(const Container&) = delete;
+  Container& operator=(const Container&) = delete;
+
+  std::array<std::span<const uint8_t>, 3> pieces() const {
+    return {header_, release_, trailer_};
+  }
+  size_t size() const { return header_.size() + release_.size() + trailer_.size(); }
+
+ private:
+  std::vector<uint8_t> header_;
+  std::vector<uint8_t> release_copy_;  // big-endian hosts only
+  std::span<const uint8_t> release_;
+  std::array<uint8_t, 4> trailer_{};
+};
+
+Container::Container(const Snapshot& snapshot) {
   const grid::Dims& dims = snapshot.sanitized.dims();
   const std::string& algo = snapshot.meta.algorithm;
   const std::vector<double>& cells = snapshot.sanitized.data();
-  std::vector<uint8_t> out(kFixedBytes + algo.size() + sizeof(double) * cells.size());
-  Writer w(out.data());
+  header_.resize(kHeaderFixedBytes + algo.size());
+  Writer w(header_.data());
   w.Bytes(kMagic.data(), kMagic.size());
   w.U32(kSnapshotVersion);
   w.I32(dims.cx);
@@ -213,8 +289,101 @@ std::vector<uint8_t> EncodeSnapshot(const Snapshot& snapshot) {
   w.F64(snapshot.meta.norm_max);
   w.I32(snapshot.meta.t_train);
   w.U64(cells.size());
-  w.F64Array(cells);
-  w.U32(Crc32(out.data(), out.size() - 4));
+  if constexpr (std::endian::native == std::endian::little) {
+    release_ = {reinterpret_cast<const uint8_t*>(cells.data()), sizeof(double) * cells.size()};
+  } else {
+    release_copy_.resize(sizeof(double) * cells.size());
+    Writer(release_copy_.data()).F64Array(cells);
+    release_ = release_copy_;
+  }
+  uint32_t crc = Crc32Update(internal::kCrc32Init, header_.data(), header_.size());
+  crc = Crc32Update(crc, release_.data(), release_.size());
+  Writer(trailer_.data()).U32(crc ^ internal::kCrc32Init);
+}
+
+/// Writes every byte of `pieces` to `fd`, resuming after a short write or
+/// EINTR: Linux moves at most 2 GiB - 4 KiB per call.
+bool WriteAll(int fd, const std::array<std::span<const uint8_t>, 3>& pieces) {
+  std::array<iovec, 3> iov;
+  for (size_t i = 0; i < iov.size(); ++i) {
+    iov[i].iov_base = const_cast<uint8_t*>(pieces[i].data());
+    iov[i].iov_len = pieces[i].size();
+  }
+  size_t next = 0;  // the first iovec with bytes left
+  while (true) {
+    while (next < iov.size() && iov[next].iov_len == 0) ++next;
+    if (next == iov.size()) return true;
+    const ssize_t n = ::writev(fd, &iov[next], static_cast<int>(iov.size() - next));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    for (size_t left = static_cast<size_t>(n); left > 0; ++next) {
+      const size_t step = std::min(left, iov[next].iov_len);
+      iov[next].iov_base = static_cast<uint8_t*>(iov[next].iov_base) + step;
+      iov[next].iov_len -= step;
+      left -= step;
+      if (iov[next].iov_len != 0) break;
+    }
+  }
+}
+
+Status Truncated() {
+  return Status::InvalidArgument("snapshot: truncated container");
+}
+
+}  // namespace
+
+namespace internal {
+
+uint32_t Crc32UpdateSlice16(uint32_t crc, const uint8_t* p, size_t n) {
+  // kCrcTables[0] is the classic byte-at-a-time table of the IEEE 802.3
+  // reflected polynomial, and kCrcTables[k] carries a byte's entry through k
+  // further zero bytes, so one step folds 16 input bytes with 16 independent
+  // lookups. Indexing by byte keeps it endian-independent.
+  const auto& t = kCrcTables;
+  for (; n >= 16; n -= 16, p += 16) {
+    crc = t[15][(p[0] ^ crc) & 0xFF] ^ t[14][(p[1] ^ (crc >> 8)) & 0xFF] ^
+          t[13][(p[2] ^ (crc >> 16)) & 0xFF] ^ t[12][p[3] ^ (crc >> 24)] ^
+          t[11][p[4]] ^ t[10][p[5]] ^ t[9][p[6]] ^ t[8][p[7]] ^
+          t[7][p[8]] ^ t[6][p[9]] ^ t[5][p[10]] ^ t[4][p[11]] ^
+          t[3][p[12]] ^ t[2][p[13]] ^ t[1][p[14]] ^ t[0][p[15]];
+  }
+  for (; n > 0; --n, ++p) crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
+  return crc;
+}
+
+Crc32UpdateFn Crc32UpdateClmul() {
+#ifdef STPT_CRC32_CLMUL
+  if (__builtin_cpu_supports("pclmul")) return &Crc32UpdateFolding;
+#endif
+  return nullptr;
+}
+
+}  // namespace internal
+
+uint32_t Crc32(const void* data, size_t n) {
+  return Crc32Update(internal::kCrc32Init, static_cast<const uint8_t*>(data), n) ^
+         internal::kCrc32Init;
+}
+
+Snapshot Snapshot::FromMatrix(const grid::ConsumptionMatrix& sanitized,
+                              SnapshotMeta meta) {
+  Snapshot snap;
+  const grid::ConsumptionMatrix::Extrema extrema = sanitized.MinMax();
+  meta.norm_min = extrema.min;
+  meta.norm_max = extrema.max;
+  snap.meta = std::move(meta);
+  snap.sanitized = sanitized;
+  snap.prefix = grid::PrefixSum3D(sanitized).raw();
+  return snap;
+}
+
+std::vector<uint8_t> EncodeSnapshot(const Snapshot& snapshot) {
+  const Container container(snapshot);
+  std::vector<uint8_t> out;
+  out.reserve(container.size());
+  for (const std::span<const uint8_t> piece : container.pieces()) {
+    out.insert(out.end(), piece.begin(), piece.end());
+  }
   return out;
 }
 
@@ -308,15 +477,15 @@ uint32_t SnapshotVersion(const uint8_t* data, size_t size) {
 }
 
 Status WriteSnapshot(const Snapshot& snapshot, const std::string& path) {
-  const std::vector<uint8_t> bytes = EncodeSnapshot(snapshot);
+  const Container container(snapshot);
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
     return Status::NotFound("snapshot: cannot open '" + tmp + "' for writing");
   }
-  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fclose(f) == 0;
-  if (written != bytes.size() || !flushed) {
+  const bool written = WriteAll(fd, container.pieces());
+  const bool closed = ::close(fd) == 0;
+  if (!written || !closed) {
     std::remove(tmp.c_str());
     return Status::Internal("snapshot: short write to '" + tmp + "'");
   }
@@ -341,7 +510,21 @@ StatusOr<Snapshot> ReadSnapshot(const std::string& path) {
     ::close(fd);
     return Status::InvalidArgument("snapshot: '" + path + "' is not a regular file");
   }
-  std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
+  // A longer file cannot decode, and its size must not drive an allocation.
+  if (static_cast<uint64_t>(st.st_size) > internal::kMaxContainerBytes) {
+    ::close(fd);
+    return Status::InvalidArgument("snapshot: '" + path + "' is larger than any container (" +
+                                   std::to_string(internal::kMaxContainerBytes) + " bytes)");
+  }
+  std::vector<uint8_t> bytes;
+  try {
+    bytes.resize(static_cast<size_t>(st.st_size));
+  } catch (const std::bad_alloc&) {
+    ::close(fd);
+    return Status::ResourceExhausted("snapshot: cannot allocate " +
+                                     std::to_string(st.st_size) + " bytes to read '" +
+                                     path + "'");
+  }
   size_t got = 0;
   while (got < bytes.size()) {
     const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);

@@ -76,8 +76,11 @@ inline constexpr uint32_t kSnapshotVersion = 2;
 /// Conventional file extension for snapshot containers.
 inline constexpr const char* kSnapshotExtension = ".stpt";
 
-/// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) of `n` bytes.
-/// Exposed for tests and for wire-level integrity checks.
+/// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) of `n` bytes:
+/// the trailer of every container and the checksum of every ingest WAL
+/// frame. Chosen once per process from CPUID, it folds 64 bytes per step
+/// with PCLMULQDQ carry-less multiplies where the CPU has them, and runs
+/// slice-by-16 tables everywhere else; both give the same value.
 uint32_t Crc32(const void* data, size_t n);
 
 /// Serializes a snapshot to the container format. `snapshot.prefix` is
@@ -93,13 +96,20 @@ StatusOr<Snapshot> DecodeSnapshot(const uint8_t* data, size_t size);
 /// it is too short or the magic is wrong. Reads the header only.
 uint32_t SnapshotVersion(const uint8_t* data, size_t size);
 
-/// Writes the container to `path` (atomically via a sibling temp file, so a
-/// crashed writer never leaves a half-written snapshot at the final path).
+/// Writes the container to `path`, the bytes EncodeSnapshot returns,
+/// without building it in memory: the header is encoded on its own, the
+/// CRC folds over it and then over the release where it lies, and header,
+/// release and trailer go out with one writev loop (on little-endian hosts;
+/// big-endian hosts encode a copy of the release). The file is written
+/// atomically via a sibling temp file, so a crashed writer never leaves a
+/// half-written snapshot at the final path.
 Status WriteSnapshot(const Snapshot& snapshot, const std::string& path);
 
 /// Reads and validates a container from `path`. Anything but a regular
 /// file (a directory, a FIFO, a device) is rejected with InvalidArgument
-/// without blocking or trusting its reported size.
+/// without blocking or trusting its reported size, and so is a file larger
+/// than the largest container the decoder accepts (64 GiB of cells); a read
+/// buffer the host cannot allocate is ResourceExhausted.
 StatusOr<Snapshot> ReadSnapshot(const std::string& path);
 
 }  // namespace stpt::serve

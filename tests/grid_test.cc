@@ -1,5 +1,10 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include "common/rng.h"
 #include "grid/consumption_matrix.h"
@@ -19,6 +24,21 @@ ConsumptionMatrix MakeSequential(Dims dims) {
     }
   }
   return std::move(m).value();
+}
+
+/// MinMax() against std::min_element / std::max_element over the same
+/// values, bit for bit.
+void ExpectMinMaxMatchesFirstOccurrence(const std::vector<double>& values) {
+  auto m = ConsumptionMatrix::Create({1, 1, static_cast<int>(values.size())});
+  ASSERT_TRUE(m.ok());
+  m->mutable_data() = values;
+  const ConsumptionMatrix::Extrema got = m->MinMax();
+  const double want_min = *std::min_element(values.begin(), values.end());
+  const double want_max = *std::max_element(values.begin(), values.end());
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.min), std::bit_cast<uint64_t>(want_min))
+      << got.min << " vs " << want_min << " over " << values.size() << " values";
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.max), std::bit_cast<uint64_t>(want_max))
+      << got.max << " vs " << want_max << " over " << values.size() << " values";
 }
 
 // --------------------------- ConsumptionMatrix ---------------------------
@@ -71,6 +91,46 @@ TEST(ConsumptionMatrixTest, MinMaxAndTotal) {
   EXPECT_EQ(m.MinValue(), 0.0);
   EXPECT_EQ(m.MaxValue(), 7.0);
   EXPECT_EQ(m.TotalSum(), 28.0);
+}
+
+TEST(ConsumptionMatrixTest, MinMaxMatchesFirstOccurrenceScanBitForBit) {
+  // +0 and -0 tie as the minimum (among positives) and as the maximum
+  // (among negatives), in both orders at every pair of positions: the
+  // first occurrence wins.
+  for (const double other : {1.5, -1.5}) {
+    for (size_t i = 0; i < 9; ++i) {
+      for (size_t j = 0; j < 9; ++j) {
+        if (i == j) continue;
+        std::vector<double> values(9, other);
+        values[i] = 0.0;
+        values[j] = -0.0;
+        ExpectMinMaxMatchesFirstOccurrence(values);
+      }
+    }
+  }
+  // A NaN first or later, and an infinity of either sign, at every position.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double special : {nan, -nan, inf, -inf}) {
+    for (size_t i = 0; i < 9; ++i) {
+      std::vector<double> values = {3.0, -2.0, 5.0, 7.0, -1.0, 4.0, 2.0, 6.0, 1.0};
+      values[i] = special;
+      ExpectMinMaxMatchesFirstOccurrence(values);
+    }
+  }
+  ExpectMinMaxMatchesFirstOccurrence(std::vector<double>(9, 2.5));
+  // Lengths 1-33: below the vector width, and every overlap of the last
+  // vector step.
+  Rng rng(23);
+  for (size_t n = 1; n <= 33; ++n) {
+    std::vector<double> values(n);
+    for (double& v : values) v = rng.Gaussian(0.0, 10.0);
+    ExpectMinMaxMatchesFirstOccurrence(values);
+  }
+  // A noisy release at the ingest publish shape.
+  std::vector<double> release(32 * 32 * 168);
+  for (double& v : release) v = rng.Gaussian(0.0, 100.0) + rng.Laplace(0.5);
+  ExpectMinMaxMatchesFirstOccurrence(release);
 }
 
 TEST(ConsumptionMatrixTest, NormalizedMapsToUnitInterval) {

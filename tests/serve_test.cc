@@ -1,5 +1,6 @@
 #include <arpa/inet.h>
 #include <dirent.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -30,6 +31,7 @@
 #include "serve/query_server.h"
 #include "serve/registry.h"
 #include "serve/snapshot.h"
+#include "serve/snapshot_internal.h"
 #include "serve/wire.h"
 
 namespace stpt::serve {
@@ -148,6 +150,42 @@ void ExpectSnapshotsBitIdentical(const Snapshot& got, const Snapshot& want) {
                            rebuilt.size() * sizeof(double)));
 }
 
+/// A container of every special double: signed zeros, a denormal, both
+/// infinities and a NaN with a payload, in the matrix and the metadata.
+Snapshot SpecialDoublesSnapshot() {
+  const double specials[] = {
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::bit_cast<double>(uint64_t{0xFFF800000BADF00D}),  // -NaN, payload
+      1.5,
+  };
+  constexpr size_t kSpecials = std::size(specials);
+  Snapshot snap;
+  snap.meta.algorithm = "hand-built";
+  snap.meta.eps_total = 30.0;
+  snap.meta.eps_pattern = -0.0;
+  snap.meta.eps_sanitize = std::numeric_limits<double>::denorm_min();
+  snap.meta.norm_min = -std::numeric_limits<double>::infinity();
+  snap.meta.norm_max = specials[4];
+  snap.meta.t_train = -3;
+  auto matrix = grid::ConsumptionMatrix::Create({2, 3, 4});
+  EXPECT_TRUE(matrix.ok());
+  snap.sanitized = std::move(*matrix);
+  std::vector<double>& cells = snap.sanitized.mutable_data();
+  for (size_t i = 0; i < cells.size(); ++i) cells[i] = specials[i % kSpecials];
+  return snap;
+}
+
+/// Creates (or truncates) `path` as a sparse regular file of `size` bytes.
+bool MakeSparseFile(const std::string& path, uint64_t size) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+  if (fd < 0) return false;
+  const bool sized = ::ftruncate(fd, static_cast<off_t>(size)) == 0;
+  return ::close(fd) == 0 && sized;
+}
+
 // --- Snapshot container ----------------------------------------------------
 
 TEST(SnapshotTest, EncodeDecodeBitIdentity) {
@@ -164,12 +202,21 @@ TEST(SnapshotTest, EncodeDecodeBitIdentity) {
 }
 
 TEST(SnapshotTest, FileRoundTripBitIdentity) {
-  const Snapshot snap = MakeTestSnapshot({4, 7, 11}, 7);
+  // WriteSnapshot streams the header, the release in place and the CRC
+  // trailer without building the container in memory, so the file itself
+  // is pinned against the field-by-field reference encoder.
   const std::string path = testing::TempDir() + "/roundtrip.stpt";
-  ASSERT_TRUE(WriteSnapshot(snap, path).ok());
-  auto loaded = ReadSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectSnapshotsBitIdentical(*loaded, snap);
+  for (const Snapshot& snap : {MakeTestSnapshot({4, 7, 11}, 7),
+                               MakeTestSnapshot({32, 32, 168}, 7),
+                               SpecialDoublesSnapshot()}) {
+    ASSERT_TRUE(WriteSnapshot(snap, path).ok());
+    const auto file = fuzz::LoadCorpus(path);
+    ASSERT_EQ(file.size(), 1u);
+    EXPECT_EQ(file[0].bytes, ReferenceEncode(snap)) << snap.sanitized.size() << " cells";
+    auto loaded = ReadSnapshot(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectSnapshotsBitIdentical(*loaded, snap);
+  }
 }
 
 TEST(SnapshotTest, NormalizationExtremaRecorded) {
@@ -285,6 +332,19 @@ TEST(SnapshotTest, MissingFileIsNotFound) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
+TEST(SnapshotTest, FileLargerThanAnyContainerRejectedBeforeAllocating) {
+  // Regression: a read buffer sized from a sparse 1 TiB file threw
+  // bad_alloc and aborted the server on an admin load.
+  const std::string path = testing::TempDir() + "/huge.stpt";
+  ASSERT_TRUE(MakeSparseFile(path, internal::kMaxContainerBytes + 1));
+  auto loaded = ReadSnapshot(path);
+  ::unlink(path.c_str());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("larger than any container"), std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST(SnapshotTest, NonRegularFilesRejectedWithoutBlocking) {
   // Regression: ext4 reports a directory's end offset as LONG_MAX, and a
   // read buffer sized from it terminated the server on an admin load.
@@ -304,43 +364,57 @@ TEST(SnapshotTest, NonRegularFilesRejectedWithoutBlocking) {
 TEST(Crc32Test, CheckValueEmptyInputAndEveryTailAndAlignment) {
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
-  // Lengths 0-67 cover zero to four 16-byte steps plus every byte tail;
-  // start offsets 0-15 cover every alignment of the sliced body.
+  // Every path in running form: slice-by-16 always, and the PCLMULQDQ
+  // folding path on CPUs that have it (Crc32 then takes it).
+  std::vector<std::pair<std::string, internal::Crc32UpdateFn>> paths = {
+      {"slice-by-16", &internal::Crc32UpdateSlice16}};
+  if (internal::Crc32UpdateClmul() != nullptr) {
+    paths.emplace_back("pclmul", internal::Crc32UpdateClmul());
+  }
+  auto checksum = [](internal::Crc32UpdateFn update, const uint8_t* p, size_t n) {
+    return update(internal::kCrc32Init, p, n) ^ internal::kCrc32Init;
+  };
+  // Lengths 0-320 cover zero to five 64-byte fold steps, every count of
+  // 16-byte folds after them and every byte tail; start offsets 0-15 cover
+  // every alignment.
   Rng rng(17);
-  std::vector<uint8_t> buf(15 + 67);
+  std::vector<uint8_t> buf(15 + 320);
   for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextUint64());
   for (size_t start = 0; start < 16; ++start) {
-    for (size_t len = 0; len <= 67; ++len) {
-      EXPECT_EQ(Crc32(buf.data() + start, len), ReferenceCrc32(buf.data() + start, len))
-          << "start " << start << " length " << len;
+    for (size_t len = 0; len <= 320; ++len) {
+      const uint32_t ref = ReferenceCrc32(buf.data() + start, len);
+      EXPECT_EQ(Crc32(buf.data() + start, len), ref) << "start " << start << " length " << len;
+      for (const auto& [name, update] : paths) {
+        EXPECT_EQ(checksum(update, buf.data() + start, len), ref)
+            << name << " start " << start << " length " << len;
+      }
+    }
+  }
+  // A container at the ingest publish shape, 1 376 350 bytes.
+  Snapshot snap = MakeTestSnapshot({32, 32, 168});
+  snap.meta.algorithm = "stream-w-event";
+  const std::vector<uint8_t> container = ReferenceEncode(snap);
+  ASSERT_EQ(container.size(), 1376350u);
+  const size_t body = container.size() - 4;
+  const uint32_t want = ReferenceCrc32(container.data(), body);
+  EXPECT_EQ(Crc32(container.data(), body), want);
+  for (const auto& [name, update] : paths) {
+    EXPECT_EQ(checksum(update, container.data(), body), want) << name;
+    // The running form over three pieces split at random points.
+    for (int trial = 0; trial < 32; ++trial) {
+      size_t a = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(body)));
+      size_t b = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(body)));
+      if (a > b) std::swap(a, b);
+      uint32_t crc = update(internal::kCrc32Init, container.data(), a);
+      crc = update(crc, container.data() + a, b - a);
+      crc = update(crc, container.data() + b, body - b);
+      EXPECT_EQ(crc ^ internal::kCrc32Init, want) << name << " split " << a << ", " << b;
     }
   }
 }
 
 TEST(SnapshotTest, SpecialDoublesEncodeLikeFieldByFieldReference) {
-  const double specials[] = {
-      -0.0,
-      std::numeric_limits<double>::denorm_min(),
-      std::numeric_limits<double>::infinity(),
-      -std::numeric_limits<double>::infinity(),
-      std::bit_cast<double>(uint64_t{0xFFF800000BADF00D}),  // -NaN, payload
-      1.5,
-  };
-  constexpr size_t kSpecials = std::size(specials);
-  Snapshot snap;
-  snap.meta.algorithm = "hand-built";
-  snap.meta.eps_total = 30.0;
-  snap.meta.eps_pattern = -0.0;
-  snap.meta.eps_sanitize = std::numeric_limits<double>::denorm_min();
-  snap.meta.norm_min = -std::numeric_limits<double>::infinity();
-  snap.meta.norm_max = specials[4];
-  snap.meta.t_train = -3;
-  auto matrix = grid::ConsumptionMatrix::Create({2, 3, 4});
-  ASSERT_TRUE(matrix.ok());
-  snap.sanitized = std::move(*matrix);
-  std::vector<double>& cells = snap.sanitized.mutable_data();
-  for (size_t i = 0; i < cells.size(); ++i) cells[i] = specials[i % kSpecials];
-
+  const Snapshot snap = SpecialDoublesSnapshot();
   const std::vector<uint8_t> bytes = EncodeSnapshot(snap);
   EXPECT_EQ(bytes, ReferenceEncode(snap));
   auto decoded = DecodeSnapshot(bytes.data(), bytes.size());
@@ -1274,10 +1348,20 @@ TEST_F(LoopbackTest, AdminLoadOfDirectoryIsAnErrorAndServerKeepsServing) {
   StartServer({6, 6, 6}, 65);
   auto client = Client::Connect("127.0.0.1", server_->port());
   ASSERT_TRUE(client.ok());
-  auto loaded = client->Load("acme", "7", testing::TempDir());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("not a regular file"), std::string::npos)
-      << loaded.status().ToString();
+  // A directory, and a sparse regular file one byte larger than any
+  // container: each load is refused with a Status instead of sizing a read
+  // buffer from the file.
+  const std::string huge = testing::TempDir() + "/admin-huge.stpt";
+  ASSERT_TRUE(MakeSparseFile(huge, internal::kMaxContainerBytes + 1));
+  const std::pair<std::string, std::string> cases[] = {
+      {testing::TempDir(), "not a regular file"}, {huge, "larger than any container"}};
+  for (const auto& [path, why] : cases) {
+    auto loaded = client->Load("acme", "7", path);
+    ASSERT_FALSE(loaded.ok()) << path;
+    EXPECT_NE(loaded.status().message().find(why), std::string::npos)
+        << loaded.status().ToString();
+  }
+  ::unlink(huge.c_str());
   auto answers = client->QueryTenant(kDefaultTenant, kDefaultTile, {{0, 2, 0, 2, 0, 2}});
   ASSERT_TRUE(answers.ok()) << answers.status().ToString();
   EXPECT_EQ(answers->answers.size(), 1u);

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Perf gate for the kernel and container-codec rows of bench_micro.
+"""Perf gate for the kernel, container-codec and extrema rows of bench_micro.
 
 Compares a fresh BENCH_micro.json against the checked-in baseline and
 enforces two properties:
 
   1. No gated row regresses more than --tolerance (default 30%) in
      real_time against the same-named row of the baseline. The gated rows
-     are the per-backend kernels (BM_Kernel*) and the .stpt codec
-     (BM_SnapshotEncode, BM_SnapshotDecode, BM_Crc32). Hard failure on an
+     are the per-backend kernels (BM_Kernel*), the .stpt codec
+     (BM_SnapshotEncode, BM_SnapshotDecode, BM_Crc32) and the one-pass
+     min/max scan each publish runs (BM_MatrixExtrema). Hard failure on an
      AVX2-capable runner; downgraded to a warning when the runner lacks AVX2
      (the committed baseline is recorded on an AVX2 machine, so absolute
      times are not comparable there).
@@ -28,7 +29,7 @@ import json
 import sys
 
 GATED_PREFIXES = ("BM_Kernel", "BM_SnapshotEncode", "BM_SnapshotDecode",
-                  "BM_Crc32")
+                  "BM_Crc32", "BM_MatrixExtrema")
 SPEEDUP_FAMILIES = ("BM_KernelMatMul", "BM_KernelPrefixSum")
 
 
