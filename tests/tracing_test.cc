@@ -8,8 +8,11 @@
 // published releases with tracing on vs off at 1 and 8 exec threads.
 
 #include <cstring>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -596,6 +599,161 @@ TEST_F(TraceLoopbackTest, SampledIngestChainsAcceptRepublishAndSwap) {
   ASSERT_TRUE(accept_json.ok());
   EXPECT_NE(accept_json->find("ingest/apply"), std::string::npos);
   EXPECT_EQ(accept_json->find("ingest/publish"), std::string::npos);
+}
+
+// One span a trace must hold: `parent` names the span it hangs under (""
+// for the request's own context span, nullptr for the root, whose id is the
+// client's span id) and `stage` is the ChildSpanId sequence number its id is
+// derived with.
+struct WantSpan {
+  const char* name;
+  const char* parent;
+  uint64_t stage;
+  const char* lane;
+  std::vector<std::pair<std::string, std::string>> attrs;
+};
+
+// The six spans the serve tier records for every sampled request it
+// dispatches, with the exec span's attributes.
+std::vector<WantSpan> ServeSpans(const std::string& tenant,
+                                 const std::string& tile, uint64_t epoch) {
+  return {{"client/send", nullptr, 0, "client", {}},
+          {"serve/queue", "", 1, "loop", {}},
+          {"serve/parse", "", 2, "loop", {}},
+          {"serve/dispatch_wait", "", 3, "worker", {}},
+          {"serve/exec",
+           "",
+           4,
+           "worker",
+           {{"tenant", tenant}, {"tile", tile}, {"epoch", std::to_string(epoch)}}},
+          {"serve/write", "", 5, "loop", {}}};
+}
+
+// Checks one trace's stored spans id for id: exactly the wanted names, and
+// for each span its parent, its derived id, its lane and its attributes in
+// order.
+void ExpectSpanTree(const std::vector<obs::TraceSpan>& stored,
+                    const obs::TraceContext& ctx,
+                    const std::vector<WantSpan>& want) {
+  std::map<std::string, const obs::TraceSpan*> by_name;
+  for (const obs::TraceSpan& s : stored) {
+    if (s.trace_hi != ctx.trace_hi || s.trace_lo != ctx.trace_lo) continue;
+    EXPECT_TRUE(by_name.emplace(s.name, &s).second)
+        << "span " << s.name << " stored twice";
+  }
+  std::set<std::string> want_names;
+  for (const WantSpan& w : want) want_names.insert(w.name);
+  std::set<std::string> got_names;
+  for (const auto& [name, span] : by_name) got_names.insert(name);
+  ASSERT_EQ(got_names, want_names) << "trace " << obs::TraceIdHex(ctx);
+  for (const WantSpan& w : want) {
+    SCOPED_TRACE(w.name);
+    const obs::TraceSpan& s = *by_name.at(w.name);
+    if (w.parent == nullptr) {
+      EXPECT_EQ(s.span_id, ctx.span_id);
+      EXPECT_EQ(s.parent_span_id, 0u);
+    } else {
+      const uint64_t parent = *w.parent == '\0'
+                                  ? ctx.span_id
+                                  : by_name.at(w.parent)->span_id;
+      EXPECT_EQ(s.parent_span_id, parent);
+      EXPECT_EQ(s.span_id, obs::ChildSpanId(parent, w.stage));
+    }
+    EXPECT_EQ(s.lane, w.lane);
+    EXPECT_EQ(s.attrs, w.attrs);
+  }
+}
+
+TEST_F(TraceLoopbackTest, SampledSpanTreesArePinnedIdForId) {
+  StartServer({4, 4, 8}, 83);
+  ingest::IngestOptions options;
+  options.dims = {4, 4, 8};
+  options.epoch_readings = 0;  // only the flush publishes
+  AttachIngest(options);
+  Start();
+  auto client = Client::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(client.ok());
+
+  std::vector<MeterReading> readings;
+  for (uint64_t i = 0; i < 32; ++i) {
+    readings.push_back({i, static_cast<int32_t>(i % 4),
+                        static_cast<int32_t>(i / 4 % 4),
+                        static_cast<int32_t>(i / 16), 1.0});
+  }
+  const obs::TraceContext batch_ctx = SampledContext(11);
+  auto ack = client->Ingest("grid", "7", readings, batch_ctx);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  ASSERT_EQ(ack->accepted, readings.size());
+  ASSERT_EQ(ack->epoch, 0u);
+
+  const obs::TraceContext flush_ctx = SampledContext(12);
+  auto flush = client->Ingest("grid", "7", {}, flush_ctx);
+  ASSERT_TRUE(flush.ok()) << flush.status().ToString();
+  ASSERT_EQ(flush->epoch, 1u);
+
+  const obs::TraceContext query_ctx = SampledContext(13);
+  auto answers = client->QueryTenant("grid", "7", MakeQueries({4, 4, 8}, 8, 913),
+                                     0, query_ctx);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+
+  // An in-process load under a sampled context: the registry's span hangs
+  // directly under the caller's span.
+  const obs::TraceContext load_ctx = SampledContext(14);
+  {
+    obs::ScopedTraceContext scoped(load_ctx);
+    ASSERT_TRUE(registry_->Load(ShardKey{"acme", "9"}, snapshot_).ok());
+  }
+
+  // The loop records a request's write span after its response is on the
+  // wire; one more round trip on the same connection orders the read below
+  // after it.
+  ASSERT_TRUE(client->FetchTraces(0).ok());
+  const std::vector<obs::TraceSpan> stored =
+      obs::TraceStore::Global().Snapshot();
+
+  std::vector<WantSpan> batch = ServeSpans("grid", "7", 0);
+  batch.push_back({"ingest/apply",
+                   "serve/exec",
+                   1,
+                   "ingest",
+                   {{"tenant", "grid"},
+                    {"tile", "7"},
+                    {"accepted", "32"},
+                    {"epoch", "0"}}});
+  ExpectSpanTree(stored, batch_ctx, batch);
+
+  std::vector<WantSpan> flush_tree = ServeSpans("grid", "7", 1);
+  flush_tree.push_back({"ingest/apply",
+                        "serve/exec",
+                        1,
+                        "ingest",
+                        {{"tenant", "grid"},
+                         {"tile", "7"},
+                         {"accepted", "0"},
+                         {"epoch", "1"}}});
+  flush_tree.push_back({"ingest/publish",
+                        "ingest/apply",
+                        2,
+                        "ingest",
+                        {{"tenant", "grid"}, {"tile", "7"}, {"epoch", "1"}}});
+  flush_tree.push_back({"registry/load",
+                        "ingest/publish",
+                        1,
+                        "registry",
+                        {{"tenant", "grid"}, {"tile", "7"}, {"epoch", "1"}}});
+  ExpectSpanTree(stored, flush_ctx, flush_tree);
+
+  ExpectSpanTree(stored, query_ctx, ServeSpans("grid", "7", 1));
+
+  ExpectSpanTree(stored, load_ctx,
+                 {{"registry/load",
+                   "",
+                   1,
+                   "registry",
+                   {{"tenant", "acme"}, {"tile", "9"}, {"epoch", "1"}}}});
+
+  // Nothing else was stored: no stray span, no fifth trace.
+  EXPECT_EQ(stored.size(), batch.size() + flush_tree.size() + 6 + 1);
 }
 
 TEST_F(TraceLoopbackTest, AnswersAreBitIdenticalWithTracingOnAndOff) {
