@@ -35,9 +35,9 @@
 #include "bench_util.h"
 #include "common/flags.h"
 #include "common/rng.h"
-#include "exec/timing.h"
 #include "ingest/clock.h"
 #include "ingest/pipeline.h"
+#include "obs/trace.h"
 #include "query/range_query.h"
 #include "serve/client.h"
 #include "serve/event_loop.h"
@@ -90,9 +90,9 @@ FeederResult Feed(int port, const std::string& tenant, int cx, int cy,
     r.kwh = rng.Uniform(0.0, 5.0);
     pending.push_back(r);
     if (static_cast<int64_t>(pending.size()) == batch || i + 1 == total) {
-      const uint64_t t0 = exec::NowNanos();
+      const uint64_t t0 = obs::NowNanos();
       auto ack = client->Ingest(tenant, "0", pending);
-      const uint64_t t1 = exec::NowNanos();
+      const uint64_t t1 = obs::NowNanos();
       if (!ack.ok()) {
         out.failed = true;
         return out;
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
   // second half into the hot shard (published slices reject re-feeds).
   const int half = std::max(1, slices / 2);
   std::vector<FeederResult> fed(static_cast<size_t>(feeders));
-  const uint64_t ingest_start_ns = exec::NowNanos();
+  const uint64_t ingest_start_ns = obs::NowNanos();
   {
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(feeders));
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
     for (std::thread& t : threads) t.join();
   }
   const double ingest_wall_s =
-      static_cast<double>(exec::NowNanos() - ingest_start_ns) * 1e-9;
+      static_cast<double>(obs::NowNanos() - ingest_start_ns) * 1e-9;
   uint64_t accepted = 0, clamped = 0, rejected = 0, epochs = 0;
   std::vector<uint64_t> publish_rtts;
   for (const FeederResult& r : fed) {
@@ -276,7 +276,7 @@ int main(int argc, char** argv) {
     });
   }
   const uint64_t epoch_before = fed[0].epoch;
-  const uint64_t swap_start_ns = exec::NowNanos();
+  const uint64_t swap_start_ns = obs::NowNanos();
   FeederResult swap_feed;
   {
     // One feeder keeps streaming the hot shard until it advanced
@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
                      batch, Rng(seed + 1000));
   }
   const double swap_wall_s =
-      static_cast<double>(exec::NowNanos() - swap_start_ns) * 1e-9;
+      static_cast<double>(obs::NowNanos() - swap_start_ns) * 1e-9;
   stop.store(true);
   for (std::thread& t : clients) t.join();
   server.Stop();

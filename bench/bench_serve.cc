@@ -35,7 +35,7 @@
 #include "bench_util.h"
 #include "common/flags.h"
 #include "common/rng.h"
-#include "exec/timing.h"
+#include "obs/trace.h"
 #include "query/range_query.h"
 #include "serve/client.h"
 #include "serve/event_loop.h"
@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
   {
     std::vector<std::vector<uint64_t>> rtts(num_clients);
     std::vector<int> failures(num_clients, 0);
-    const uint64_t start_ns = exec::NowNanos();
+    const uint64_t start_ns = obs::NowNanos();
     std::vector<std::thread> clients;
     clients.reserve(num_clients);
     for (int c = 0; c < num_clients; ++c) {
@@ -228,9 +228,9 @@ int main(int argc, char** argv) {
               std::min<int64_t>(batch_size, queries_per_client - done));
           query::Workload batch(static_cast<size_t>(n));
           for (int i = 0; i < n; ++i) batch[i] = (*pool)[(cursor + i) % unique];
-          const uint64_t t0 = exec::NowNanos();
+          const uint64_t t0 = obs::NowNanos();
           auto answers = client->QueryTenant("", "", batch);
-          const uint64_t t1 = exec::NowNanos();
+          const uint64_t t1 = obs::NowNanos();
           if (!answers.ok() || answers->answers.size() != batch.size()) {
             ++failures[c];
             return;
@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
       });
     }
     for (std::thread& t : clients) t.join();
-    const double wall_s = static_cast<double>(exec::NowNanos() - start_ns) * 1e-9;
+    const double wall_s = static_cast<double>(obs::NowNanos() - start_ns) * 1e-9;
     single = Summarize(queries_per_client * num_clients, wall_s, rtts, failures);
   }
   serve::ServerStats default_stats;
@@ -259,7 +259,7 @@ int main(int argc, char** argv) {
     std::vector<int> failures(num_clients, 0);
     std::vector<std::vector<int64_t>> per_client_tenant(
         num_clients, std::vector<int64_t>(static_cast<size_t>(num_tenants), 0));
-    const uint64_t start_ns = exec::NowNanos();
+    const uint64_t start_ns = obs::NowNanos();
     std::vector<std::thread> clients;
     clients.reserve(num_clients);
     for (int c = 0; c < num_clients; ++c) {
@@ -277,10 +277,10 @@ int main(int argc, char** argv) {
           query::Workload batch(static_cast<size_t>(n));
           for (int i = 0; i < n; ++i) batch[i] = (*pool)[(cursor + i) % unique];
           const int tenant = zipf.Sample(rng);
-          const uint64_t t0 = exec::NowNanos();
+          const uint64_t t0 = obs::NowNanos();
           auto answers = client->QueryTenant(
               tenant_names[static_cast<size_t>(tenant)], "0", batch);
-          const uint64_t t1 = exec::NowNanos();
+          const uint64_t t1 = obs::NowNanos();
           if (!answers.ok() || answers->answers.size() != batch.size()) {
             ++failures[c];
             return;
@@ -293,7 +293,7 @@ int main(int argc, char** argv) {
       });
     }
     for (std::thread& t : clients) t.join();
-    const double wall_s = static_cast<double>(exec::NowNanos() - start_ns) * 1e-9;
+    const double wall_s = static_cast<double>(obs::NowNanos() - start_ns) * 1e-9;
     multi = Summarize(queries_per_client * num_clients, wall_s, rtts, failures);
     for (int c = 0; c < num_clients; ++c) {
       for (int t = 0; t < num_tenants; ++t) {
@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
     std::vector<std::vector<uint64_t>> rtts(num_clients);
     std::vector<int> failures(num_clients, 0);
     std::vector<int64_t> sent(num_clients, 0);
-    const uint64_t start_ns = exec::NowNanos();
+    const uint64_t start_ns = obs::NowNanos();
     const uint64_t stop_ns =
         start_ns + static_cast<uint64_t>(open_seconds * 1e9);
     std::vector<std::thread> clients;
@@ -337,7 +337,7 @@ int main(int argc, char** argv) {
         uint64_t next_send =
             start_ns + (interval_ns * static_cast<uint64_t>(c)) / num_clients;
         while (true) {
-          const uint64_t now = exec::NowNanos();
+          const uint64_t now = obs::NowNanos();
           if (now >= stop_ns) break;
           if (now < next_send) {
             std::this_thread::sleep_for(
@@ -350,10 +350,10 @@ int main(int argc, char** argv) {
             batch[i] = (*pool)[(cursor + i) % unique];
           }
           const int tenant = zipf.Sample(rng);
-          const uint64_t t0 = exec::NowNanos();
+          const uint64_t t0 = obs::NowNanos();
           auto answers = client->QueryTenant(
               tenant_names[static_cast<size_t>(tenant)], "0", batch);
-          const uint64_t t1 = exec::NowNanos();
+          const uint64_t t1 = obs::NowNanos();
           if (!answers.ok() ||
               answers->answers.size() != static_cast<size_t>(batch_size)) {
             ++failures[c];
@@ -366,7 +366,7 @@ int main(int argc, char** argv) {
       });
     }
     for (std::thread& t : clients) t.join();
-    const double wall_s = static_cast<double>(exec::NowNanos() - start_ns) * 1e-9;
+    const double wall_s = static_cast<double>(obs::NowNanos() - start_ns) * 1e-9;
     for (int64_t s : sent) open_queries += s * batch_size;
     open = Summarize(open_queries, wall_s, rtts, failures);
   }

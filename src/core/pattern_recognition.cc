@@ -6,8 +6,8 @@
 #include "common/math_util.h"
 #include "dp/mechanisms.h"
 #include "exec/parallel.h"
-#include "exec/timing.h"
 #include "nn/predictor.h"
+#include "obs/trace.h"
 
 namespace stpt::core {
 
@@ -85,7 +85,7 @@ StatusOr<PatternResult> RunPatternRecognition(const grid::ConsumptionMatrix& nor
   PatternResult result;
   result.predictor = nn::SequencePredictor::Create(config.model, config.predictor, rng);
   auto stats_or = [&] {
-    exec::ScopedTimer timer("stpt/train_predictor");
+    obs::Span timer("stpt/train_predictor");
     return nn::TrainPredictor(result.predictor.get(), dataset, config.training, rng);
   }();
   STPT_RETURN_IF_ERROR(stats_or.status());
@@ -99,7 +99,7 @@ StatusOr<PatternResult> RunPatternRecognition(const grid::ConsumptionMatrix& nor
   STPT_RETURN_IF_ERROR(pattern_or.status());
   result.pattern = std::move(pattern_or).value();
 
-  exec::ScopedTimer rollout_timer("stpt/rollout");
+  obs::Span rollout_timer("stpt/rollout");
   const int num_cells = dims.cx * dims.cy;
   if (config.rollout == RolloutMode::kAutoregressive) {
     // Seed each cell's window with the tail of the finest sanitized series

@@ -8,7 +8,6 @@
 #include "dp/budget_accountant.h"
 #include "dp/mechanisms.h"
 #include "exec/parallel.h"
-#include "exec/timing.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/metrics.h"

@@ -3,7 +3,6 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
-#include <optional>
 
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
@@ -80,9 +79,9 @@ void ParallelForRange(int64_t n,
     if (trace_label == nullptr) trace_label = "exec/chunk";
   }
   // Same capture-at-dispatch discipline for the request trace context: the
-  // dispatching thread's active context (if any) is re-established on every
-  // worker lane, so code inside the chunks can still name its trace. A
-  // 32-byte copy when a traced request is running, nothing otherwise.
+  // dispatching thread's active context is re-established on every worker
+  // lane, so code inside the chunks can still name its trace. With none
+  // active, the lanes install an invalid context, which reads as none.
   const obs::TraceContext* active_ctx = obs::CurrentTraceContext();
   const obs::TraceContext trace_ctx =
       active_ctx != nullptr ? *active_ctx : obs::TraceContext{};
@@ -104,8 +103,7 @@ void ParallelForRange(int64_t n,
       if (trace_label != nullptr) {
         obs::EmitTraceEvent('B', trace_label, obs::NowNanos());
       }
-      std::optional<obs::ScopedTraceContext> scoped_ctx;
-      if (trace_ctx.valid()) scoped_ctx.emplace(trace_ctx);
+      obs::ScopedTraceContext scoped_ctx(trace_ctx);
       std::exception_ptr err;
       try {
         fn(begin, end);

@@ -1,21 +1,15 @@
 #include "exec/timing.h"
 
 #include <iomanip>
-#include <sstream>
 
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace stpt::exec {
 
-std::vector<TimingEntry> TimingProfile() { return obs::TraceProfile(); }
-
-void ResetTimings() { obs::ResetTrace(); }
-
 void PrintTimings(std::ostream& os) {
-  const auto profile = TimingProfile();
   os << "--- exec timing profile (" << Threads() << " threads) ---\n";
-  for (const auto& e : profile) {
+  for (const auto& e : obs::TraceProfile()) {
     const double ms = static_cast<double>(e.total_ns) * 1e-6;
     const double mean_us =
         e.calls == 0 ? 0.0
@@ -27,29 +21,10 @@ void PrintTimings(std::ostream& os) {
   }
 }
 
-std::string TimingsJson() {
-  std::ostringstream os;
-  os << "{\"threads\": " << Threads() << ", \"regions\": [";
-  bool first = true;
-  for (const auto& e : TimingProfile()) {
-    if (!first) os << ", ";
-    first = false;
-    const uint64_t mean_ns = e.calls == 0 ? 0 : e.total_ns / e.calls;
-    os << "{\"region\": \"" << e.region << "\", \"calls\": " << e.calls
-       << ", \"total_ns\": " << e.total_ns << ", \"mean_ns\": " << mean_ns
-       << "}";
-  }
-  os << "]}";
-  return os.str();
-}
-
 std::string MetricsSnapshotJson() {
-  std::string out = "{\"metrics\": ";
-  out += obs::Registry::Global().ToJson();
-  out += ", \"profile\": ";
-  out += TimingsJson();
-  out += "}";
-  return out;
+  return "{\"metrics\": " + obs::Registry::Global().ToJson() +
+         ", \"profile\": {\"threads\": " + std::to_string(Threads()) +
+         ", \"regions\": " + obs::TraceProfileJson() + "}}";
 }
 
 }  // namespace stpt::exec

@@ -1,54 +1,23 @@
 #ifndef STPT_EXEC_TIMING_H_
 #define STPT_EXEC_TIMING_H_
 
-#include <cstdint>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "obs/trace.h"
 
 namespace stpt::exec {
 
-/// Region timing now lives in stpt::obs (see obs/trace.h): obs::Span is the
-/// RAII primitive and the process-wide profile store is obs::RecordRegion /
-/// obs::TraceProfile. This header keeps the original exec-layer names as
-/// aliases and thin wrappers so existing call sites — and the pool-size
-/// context that only exec knows — continue to work unchanged.
-
-/// Aggregated wall-clock statistics for one named region.
-using TimingEntry = obs::RegionEntry;
-
-/// Monotonic wall clock in nanoseconds (steady_clock); alias of
-/// obs::NowNanos, the single time source for all latency measurement.
-inline uint64_t NowNanos() { return obs::NowNanos(); }
-
-/// RAII per-region wall-clock timer; alias of obs::Span. On destruction the
-/// elapsed time is added to the process-wide trace profile (and, if a
-/// histogram handle was passed, observed into that metric).
-///
-///   {
-///     exec::ScopedTimer timer("stpt/pattern");
-///     ...  // phase body
-///   }
-using ScopedTimer = obs::Span;
-
-/// Snapshot of the aggregated profile, sorted by descending total time.
-std::vector<TimingEntry> TimingProfile();
-
-/// Clears all accumulated timings.
-void ResetTimings();
+/// Region timing lives in stpt::obs (see obs/trace.h): obs::Span times a
+/// scoped region and obs::TraceProfile reads the aggregate. What stays here
+/// reports that profile with the pool size, which only exec knows.
 
 /// Human-readable profile table (one line per region).
 void PrintTimings(std::ostream& os);
 
-/// The profile as a JSON object:
-///   {"threads": N, "regions": [{"region": ..., "calls": ..., "total_ns":
-///   ..., "mean_ns": ...}, ...]}
-std::string TimingsJson();
-
 /// The full observability snapshot written by --metrics=<path>:
-///   {"metrics": <obs::Registry::Global().ToJson()>, "profile": <TimingsJson()>}
+///   {"metrics": <obs::Registry::Global().ToJson()>,
+///    "profile": {"threads": N, "regions": <obs::TraceProfileJson()>}}
 /// Combining both in one document keeps counters/gauges/histograms and the
 /// aggregated trace-region profile in a single artifact per run.
 std::string MetricsSnapshotJson();

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cstdint>
 
-#include "exec/timing.h"
+#include "obs/trace.h"
 
 namespace stpt::ingest {
 
@@ -21,10 +21,10 @@ class Clock {
 };
 
 /// Production clock: the same steady-clock source all latency measurement
-/// uses (obs::NowNanos via exec::NowNanos).
+/// uses (obs::NowNanos).
 class SystemClock final : public Clock {
  public:
-  int64_t NowNanos() override { return static_cast<int64_t>(exec::NowNanos()); }
+  int64_t NowNanos() override { return static_cast<int64_t>(obs::NowNanos()); }
 };
 
 /// Test clock: starts at zero and moves only when told to. Thread-safe so a

@@ -10,7 +10,6 @@
 #include "ingest/contribution_map.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/trace_context.h"
 #include "serve/snapshot.h"
 
 namespace stpt::ingest {
@@ -110,33 +109,11 @@ std::optional<std::string> ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
-// Child-span stages of a traced ingest request under the serve tier's exec
+// Request-span stages of a traced ingest request under the serve tier's exec
 // span: apply covers the whole batch, publish the w-event republish it
-// triggered (the registry records its own swap span under publish).
+// triggered (the registry's load or swap span chains under publish).
 constexpr uint64_t kStageApply = 1;
 constexpr uint64_t kStagePublish = 2;
-
-obs::TraceContext ChildContext(const obs::TraceContext& parent, uint64_t seq) {
-  obs::TraceContext child = parent;
-  child.span_id = obs::ChildSpanId(parent.span_id, seq);
-  return child;
-}
-
-void RecordIngestSpan(const obs::TraceContext& ctx, uint64_t parent_span_id,
-                      uint64_t start_ns, const char* name,
-                      std::vector<std::pair<std::string, std::string>> attrs) {
-  obs::TraceSpan span;
-  span.trace_hi = ctx.trace_hi;
-  span.trace_lo = ctx.trace_lo;
-  span.span_id = ctx.span_id;
-  span.parent_span_id = parent_span_id;
-  span.start_ns = start_ns;
-  span.end_ns = obs::NowNanos();
-  span.name = name;
-  span.lane = "ingest";
-  span.attrs = std::move(attrs);
-  obs::TraceStore::Global().Add(std::move(span));
-}
 
 }  // namespace
 
@@ -323,20 +300,10 @@ IngestPipeline::Shard* IngestPipeline::FindShard(const std::string& tenant,
 
 serve::ReadingAck IngestPipeline::Apply(const serve::ReadingBatch& batch) {
   batches_ctr_->Increment();
-  // A sampled batch gets an ingest/apply span chained under the caller's
-  // active span; it is installed as the active context so the publish it
-  // triggers (and the registry swap under that) link to the same trace.
-  const obs::TraceContext* req_ctx = obs::CurrentTraceContext();
-  const bool traced = req_ctx != nullptr && req_ctx->sampled;
-  const uint64_t apply_start_ns = obs::NowNanos();
-  obs::TraceContext apply_ctx;
-  uint64_t apply_parent = 0;
-  std::optional<obs::ScopedTraceContext> scoped;
-  if (traced) {
-    apply_parent = req_ctx->span_id;
-    apply_ctx = ChildContext(*req_ctx, kStageApply);
-    scoped.emplace(apply_ctx);
-  }
+  // Under a sampled context this span is the active one while the batch
+  // runs, so the publish it triggers (and the registry swap under that)
+  // link to the same trace.
+  obs::Span span("ingest/apply", kStageApply, "ingest");
   const serve::ShardKey key = serve::ResolveShardKey(batch.tenant, batch.tile);
   serve::ReadingAck ack;
   const bool flush = batch.readings.empty();
@@ -382,13 +349,10 @@ serve::ReadingAck IngestPipeline::Apply(const serve::ReadingBatch& batch) {
     if (!PublishLocked(*shard, through).ok()) publish_errors_ctr_->Increment();
   }
   ack.epoch = shard->epoch;
-  if (traced) {
-    RecordIngestSpan(apply_ctx, apply_parent, apply_start_ns, "ingest/apply",
-                     {{"tenant", key.tenant},
-                      {"tile", key.tile},
-                      {"accepted", std::to_string(ack.accepted)},
-                      {"epoch", std::to_string(ack.epoch)}});
-  }
+  span.Attr("tenant", key.tenant);
+  span.Attr("tile", key.tile);
+  span.Attr("accepted", ack.accepted);
+  span.Attr("epoch", ack.epoch);
   return ack;
 }
 
@@ -491,18 +455,7 @@ void IngestPipeline::AdmitLocked(
 }
 
 Status IngestPipeline::PublishLocked(Shard& shard, int64_t through) {
-  obs::Span span("ingest/publish", republish_latency_);
-  const obs::TraceContext* parent_ctx = obs::CurrentTraceContext();
-  const bool traced = parent_ctx != nullptr && parent_ctx->sampled;
-  const uint64_t publish_start_ns = obs::NowNanos();
-  obs::TraceContext publish_ctx;
-  uint64_t publish_parent = 0;
-  std::optional<obs::ScopedTraceContext> scoped;
-  if (traced) {
-    publish_parent = parent_ctx->span_id;
-    publish_ctx = ChildContext(*parent_ctx, kStagePublish);
-    scoped.emplace(publish_ctx);  // the registry's swap span chains here
-  }
+  obs::Span span("ingest/publish", kStagePublish, "ingest", republish_latency_);
   const grid::Dims& dims = options_.dims;
   const int cells = dims.cx * dims.cy;
 
@@ -579,13 +532,9 @@ Status IngestPipeline::PublishLocked(Shard& shard, int64_t through) {
       !shard.wal->AppendEpochMark(through, shard.publish_seq).ok()) {
     wal_errors_ctr_->Increment();
   }
-  if (traced) {
-    RecordIngestSpan(publish_ctx, publish_parent, publish_start_ns,
-                     "ingest/publish",
-                     {{"tenant", shard.tenant},
-                      {"tile", shard.tile},
-                      {"epoch", std::to_string(shard.epoch)}});
-  }
+  span.Attr("tenant", shard.tenant);
+  span.Attr("tile", shard.tile);
+  span.Attr("epoch", shard.epoch);
   return Status::OK();
 }
 
@@ -609,26 +558,6 @@ int IngestPipeline::PublishAll() {
       continue;  // deadline not yet due; the next timer fire will catch it
     }
     if (PublishLocked(*shard, through).ok()) {
-      ++published;
-    } else {
-      publish_errors_ctr_->Increment();
-    }
-  }
-  return published;
-}
-
-int IngestPipeline::FlushAll() {
-  std::vector<Shard*> shards;
-  {
-    std::lock_guard<std::mutex> lock(shards_mu_);
-    shards.reserve(shards_.size());
-    for (const auto& shard : shards_) shards.push_back(shard.get());
-  }
-  int published = 0;
-  for (Shard* shard : shards) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (shard->high_water < shard->next_slice) continue;
-    if (PublishLocked(*shard, shard->high_water).ok()) {
       ++published;
     } else {
       publish_errors_ctr_->Increment();

@@ -148,11 +148,6 @@ class IngestPipeline final : public serve::IngestSink {
   /// Returns the number of shards that published.
   int PublishAll() override;
 
-  /// Forces a full flush: seals every shard through its high_water,
-  /// including the in-progress newest slice. Equivalent to an empty batch
-  /// per shard. Returns the number of shards that published.
-  int FlushAll();
-
   /// Crash recovery: rebuilds every shard logged under options.wal_dir by
   /// replaying its WAL from genesis through the normal admission path and
   /// republishing at each epoch marker. Because admission, noise draws and

@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/trace_context.h"
+
 namespace stpt::obs {
 namespace {
 
@@ -33,20 +35,6 @@ std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-std::string ExemplarTraceIdHex(uint64_t hi, uint64_t lo) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out(32, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<size_t>(i)] = kHex[hi & 0xF];
-    hi >>= 4;
-  }
-  for (int i = 31; i >= 16; --i) {
-    out[static_cast<size_t>(i)] = kHex[lo & 0xF];
-    lo >>= 4;
-  }
-  return out;
 }
 
 }  // namespace
@@ -90,7 +78,7 @@ std::string FormatMetricValue(double v) { return FormatDouble(v); }
 /// leading space): `# {trace_id="..."} value ts_seconds`.
 std::string ExemplarSuffix(const HistogramExemplar& ex) {
   std::ostringstream os;
-  os << "# {trace_id=\"" << ExemplarTraceIdHex(ex.trace_hi, ex.trace_lo)
+  os << "# {trace_id=\"" << TraceIdHex({ex.trace_hi, ex.trace_lo})
      << "\"} " << FormatDouble(ex.value) << " "
      << FormatDouble(static_cast<double>(ex.ts_ns) * 1e-9);
   return os.str();
@@ -363,8 +351,7 @@ std::string Registry::ToJson() const {
             histograms << "\"+Inf\"";
           }
           histograms << ", \"trace_id\": \""
-                     << ExemplarTraceIdHex(exemplars[i].trace_hi,
-                                           exemplars[i].trace_lo)
+                     << TraceIdHex({exemplars[i].trace_hi, exemplars[i].trace_lo})
                      << "\", \"value\": " << FormatDouble(exemplars[i].value)
                      << ", \"ts_ns\": " << exemplars[i].ts_ns << "}";
         }

@@ -188,6 +188,19 @@ namespace internal {
 
 std::atomic<bool> g_trace_events_enabled{false};
 
+/// A sampled request span's own context, the thread's active one while the
+/// span is open, and what the trace store keeps of it.
+struct RequestSpan {
+  RequestSpan(const TraceContext& self, uint64_t parent, const char* lane_name)
+      : ctx(self), parent_span_id(parent), lane(lane_name), scope(self) {}
+
+  TraceContext ctx;
+  uint64_t parent_span_id;
+  const char* lane;
+  std::vector<std::pair<std::string, std::string>> attrs;
+  ScopedTraceContext scope;
+};
+
 void SpanBegin(const char* region, uint64_t ts_ns) {
   ThreadState& state = Tls();
   if (state.span_depth < kMaxSpanDepth) state.span_stack[state.span_depth] = region;
@@ -204,6 +217,27 @@ void SpanEnd(const char* region, uint64_t ts_ns) {
 }
 
 }  // namespace internal
+
+Span::Span(const char* region, uint64_t stage, const char* lane,
+           Histogram* latency_ns)
+    : Span(region, latency_ns) {
+  const TraceContext* parent = CurrentTraceContext();
+  if (parent == nullptr || !parent->sampled) return;
+  TraceContext self = *parent;
+  self.span_id = ChildSpanId(parent->span_id, stage);
+  request_ = new internal::RequestSpan(self, parent->span_id, lane);
+}
+
+void Span::AddAttr(const char* key, std::string value) {
+  request_->attrs.emplace_back(key, std::move(value));
+}
+
+void Span::EndRequest(uint64_t end_ns) {
+  RecordSpan(request_->ctx, request_->ctx.span_id, request_->parent_span_id,
+             start_ns_, end_ns, region_, request_->lane,
+             std::move(request_->attrs));
+  delete request_;  // restores the context that was active before the span
+}
 
 uint64_t NowNanos() {
   return static_cast<uint64_t>(

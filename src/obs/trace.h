@@ -13,8 +13,7 @@ namespace stpt::obs {
 /// Monotonic wall clock in nanoseconds (steady_clock). The single time
 /// source for all latency measurement in the library: Span below, the
 /// serve-layer latency histograms, and the bench load generators all read
-/// this clock, so their numbers are directly comparable. (exec::NowNanos is
-/// an alias kept for existing call sites.)
+/// this clock, so their numbers are directly comparable.
 uint64_t NowNanos();
 
 /// Aggregated wall-clock statistics for one named trace region.
@@ -62,6 +61,8 @@ extern std::atomic<bool> g_trace_events_enabled;
 /// 'B' event. Paired with SpanEnd; Span calls these when capture is on.
 void SpanBegin(const char* region, uint64_t ts_ns);
 void SpanEnd(const char* region, uint64_t ts_ns);
+/// The trace-store half of a sampled request Span; heap-allocated only then.
+struct RequestSpan;
 }  // namespace internal
 
 /// True while event capture is on. Inline relaxed load: cheap enough for
@@ -131,6 +132,17 @@ bool WriteChromeTrace(const std::string& path);
 ///     obs::Span span("stpt/pattern_recognition", StageNsHistogram());
 ///     ...  // phase body
 ///   }
+///
+/// A request span also names a `stage` and a `lane` (see obs/trace_context.h).
+/// When the thread's active TraceContext is sampled, it becomes that
+/// context's child, with id ChildSpanId(parent span id, stage), and is the
+/// active context until it ends; on exit it goes into TraceStore::Global()
+/// with the attributes set by Attr. Otherwise it is a plain span, and Attr
+/// builds nothing.
+///
+///   obs::Span span("ingest/apply", kStageApply, "ingest");
+///   ...
+///   span.Attr("epoch", ack.epoch);
 class Span {
  public:
   explicit Span(const char* region, Histogram* latency_ns = nullptr)
@@ -141,21 +153,41 @@ class Span {
     }
   }
 
+  Span(const char* region, uint64_t stage, const char* lane,
+       Histogram* latency_ns = nullptr);
+
   ~Span() {
     const uint64_t end_ns = NowNanos();
     const uint64_t ns = end_ns - start_ns_;
     RecordRegion(region_, ns);
     if (latency_ns_ != nullptr) latency_ns_->Observe(static_cast<double>(ns));
     if (traced_) internal::SpanEnd(region_, end_ns);
+    if (request_ != nullptr) EndRequest(end_ns);
   }
+
+  /// Attaches a key/value attribute to the stored request span, in call
+  /// order. No-op unless the span is sampled.
+  void Attr(const char* key, const std::string& value) {
+    if (request_ != nullptr) AddAttr(key, value);
+  }
+  void Attr(const char* key, uint64_t value) {
+    if (request_ != nullptr) AddAttr(key, std::to_string(value));
+  }
+
+  /// When the span opened, on the NowNanos clock.
+  uint64_t start_ns() const { return start_ns_; }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
+  void AddAttr(const char* key, std::string value);
+  void EndRequest(uint64_t end_ns);
+
   const char* region_;
   Histogram* latency_ns_;
   uint64_t start_ns_;
+  internal::RequestSpan* request_ = nullptr;  ///< set only when sampled
   bool traced_ = false;
 };
 

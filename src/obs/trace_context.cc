@@ -35,7 +35,6 @@ std::string HexU64(uint64_t v) {
 }
 
 thread_local TraceContext t_current;
-thread_local bool t_current_set = false;
 
 }  // namespace
 
@@ -116,19 +115,15 @@ bool DecodeTraceField(const uint8_t* data, size_t size, TraceContext* out) {
 }
 
 const TraceContext* CurrentTraceContext() {
-  return (t_current_set && t_current.valid()) ? &t_current : nullptr;
+  return t_current.valid() ? &t_current : nullptr;
 }
 
 ScopedTraceContext::ScopedTraceContext(const TraceContext& ctx)
-    : prev_(t_current), had_prev_(t_current_set) {
+    : prev_(t_current) {
   t_current = ctx;
-  t_current_set = true;
 }
 
-ScopedTraceContext::~ScopedTraceContext() {
-  t_current = prev_;
-  t_current_set = had_prev_;
-}
+ScopedTraceContext::~ScopedTraceContext() { t_current = prev_; }
 
 TraceStore& TraceStore::Global() {
   static TraceStore* store = new TraceStore();
@@ -200,6 +195,16 @@ std::string TraceStore::ToJson(size_t max_traces,
   }
   os << "]}";
   return os.str();
+}
+
+void RecordSpan(const TraceContext& ctx, uint64_t span_id,
+                uint64_t parent_span_id, uint64_t start_ns, uint64_t end_ns,
+                const char* name, const char* lane,
+                std::vector<std::pair<std::string, std::string>> attrs) {
+  if (!ctx.sampled) return;
+  TraceStore::Global().Add(TraceSpan{ctx.trace_hi, ctx.trace_lo, span_id,
+                                     parent_span_id, start_ns, end_ns, name,
+                                     lane, std::move(attrs)});
 }
 
 }  // namespace stpt::obs

@@ -83,14 +83,17 @@ bool DecodeTraceField(const uint8_t* data, size_t size, TraceContext* out);
 /// --- Thread-local active context --------------------------------------------
 ///
 /// The serving and ingest tiers set the active context for the duration of a
-/// request's execution; exec::ParallelFor re-establishes it on worker lanes,
-/// so code arbitrarily deep in a traced request (exemplar observation, slow-
-/// request logs, registry swap spans) can name its trace without plumbing.
-/// Returns nullptr when no context is active or the active one is invalid.
+/// request's execution, and every sampled request obs::Span (obs/trace.h)
+/// replaces it with its own for its lifetime; exec::ParallelFor
+/// re-establishes it on worker lanes, so code arbitrarily deep in a traced
+/// request (exemplar observation, slow-request logs, registry spans) can
+/// name its trace without plumbing. Returns nullptr when the active context
+/// is invalid, which is also what a thread starts with.
 const TraceContext* CurrentTraceContext();
 
 /// RAII: installs `ctx` as the current thread's active context, restoring
-/// the previous one (if any) on destruction.
+/// the previous one on destruction. An invalid `ctx` reads as "none", so
+/// untraced requests install theirs too.
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(const TraceContext& ctx);
@@ -101,7 +104,6 @@ class ScopedTraceContext {
 
  private:
   TraceContext prev_;
-  bool had_prev_;
 };
 
 /// --- Completed-span store ---------------------------------------------------
@@ -156,6 +158,16 @@ class TraceStore {
   mutable std::mutex mu_;
   std::deque<TraceSpan> spans_;
 };
+
+/// Stores one completed span of `ctx`'s trace in TraceStore::Global(), its
+/// attributes in order. No-op unless `ctx` is sampled. A request obs::Span
+/// stores itself through this on exit; the serve tier calls it directly for
+/// the intervals it times across threads or before a request is decoded
+/// (client send, queueing, parsing, the wait for a worker, the write).
+void RecordSpan(const TraceContext& ctx, uint64_t span_id,
+                uint64_t parent_span_id, uint64_t start_ns, uint64_t end_ns,
+                const char* name, const char* lane,
+                std::vector<std::pair<std::string, std::string>> attrs = {});
 
 }  // namespace stpt::obs
 

@@ -11,7 +11,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <optional>
 #include <utility>
 
 #include "exec/parallel.h"
@@ -37,29 +36,13 @@ void CloseQuietly(int fd) {
 
 // Stage indices for ChildSpanId: every lifecycle span of one request derives
 // its id from the client's span id and the stage number, so two hops never
-// collide and a reader can recompute the chain.
+// collide and a reader can recompute the chain. Exec is a request obs::Span;
+// the others are intervals the loop times across threads (obs::RecordSpan).
 constexpr uint64_t kStageQueue = 1;
 constexpr uint64_t kStageParse = 2;
 constexpr uint64_t kStageDispatchWait = 3;
 constexpr uint64_t kStageExec = 4;
 constexpr uint64_t kStageWrite = 5;
-
-void RecordSpan(const obs::TraceContext& ctx, uint64_t span_id,
-                uint64_t parent_span_id, uint64_t start_ns, uint64_t end_ns,
-                const char* name, const char* lane,
-                std::vector<std::pair<std::string, std::string>> attrs = {}) {
-  obs::TraceSpan span;
-  span.trace_hi = ctx.trace_hi;
-  span.trace_lo = ctx.trace_lo;
-  span.span_id = span_id;
-  span.parent_span_id = parent_span_id;
-  span.start_ns = start_ns;
-  span.end_ns = end_ns;
-  span.name = name;
-  span.lane = lane;
-  span.attrs = std::move(attrs);
-  obs::TraceStore::Global().Add(std::move(span));
-}
 
 }  // namespace
 
@@ -523,22 +506,20 @@ void EventLoopServer::DispatchQuery(Conn& conn,
   const uint64_t dispatch_ns = obs::NowNanos();
   Dispatch(conn, [id = conn.id, gen = std::move(gen), batch = std::move(batch),
                   trace, dispatch_ns, recv_ns = conn.last_read_ns] {
-    const uint64_t exec_start_ns = obs::NowNanos();
+    // The exec span is the active context while the engine runs, so
+    // exemplars, slow-batch logs and ParallelFor lanes chain to it.
+    obs::ScopedTraceContext scoped(trace);
+    obs::Span span("serve/exec", kStageExec, "worker");
+    obs::RecordSpan(trace, obs::ChildSpanId(trace.span_id, kStageDispatchWait),
+                    trace.span_id, dispatch_ns, span.start_ns(),
+                    "serve/dispatch_wait", "worker");
     Completion comp;
     comp.conn_id = id;
     comp.tenant = gen->key.tenant;
     comp.tile = gen->key.tile;
     comp.req_recv_ns = recv_ns;
     comp.trace = trace;
-    StatusOr<QueryResponse> answers = [&]() -> StatusOr<QueryResponse> {
-      if (!trace.sampled) return gen->engine->AnswerBatch(batch);
-      // The exec span is the active context while the engine runs, so
-      // exemplars, slow-batch logs and ParallelFor lanes chain to it.
-      obs::TraceContext exec_ctx = trace;
-      exec_ctx.span_id = obs::ChildSpanId(trace.span_id, kStageExec);
-      obs::ScopedTraceContext scoped(exec_ctx);
-      return gen->engine->AnswerBatch(batch);
-    }();
+    StatusOr<QueryResponse> answers = gen->engine->AnswerBatch(batch);
     if (!answers.ok()) {
       // Per-query validation failure: report it but keep the connection —
       // the client's next batch may be fine.
@@ -553,17 +534,9 @@ void EventLoopServer::DispatchQuery(Conn& conn,
       comp.type = MsgType::kQueryResponseV2;
       comp.payload = EncodeTenantQueryResponse(response);
     }
-    if (trace.sampled) {
-      RecordSpan(trace, obs::ChildSpanId(trace.span_id, kStageDispatchWait),
-                 trace.span_id, dispatch_ns, exec_start_ns,
-                 "serve/dispatch_wait", "worker");
-      RecordSpan(trace, obs::ChildSpanId(trace.span_id, kStageExec),
-                 trace.span_id, exec_start_ns, obs::NowNanos(), "serve/exec",
-                 "worker",
-                 {{"tenant", gen->key.tenant},
-                  {"tile", gen->key.tile},
-                  {"epoch", std::to_string(gen->epoch)}});
-    }
+    span.Attr("tenant", gen->key.tenant);
+    span.Attr("tile", gen->key.tile);
+    span.Attr("epoch", gen->epoch);
     return comp;
   });
 }
@@ -572,40 +545,30 @@ void EventLoopServer::DispatchIngest(Conn& conn, ReadingBatch batch) {
   const uint64_t dispatch_ns = obs::NowNanos();
   Dispatch(conn, [sink = ingest_, id = conn.id, batch = std::move(batch),
                   dispatch_ns, recv_ns = conn.last_read_ns] {
-    const uint64_t exec_start_ns = obs::NowNanos();
+    // The pipeline's ingest/apply and ingest/publish spans (and the
+    // registry's load or swap span) chain under the exec span, linking the
+    // batch to the epoch it publishes.
+    const obs::TraceContext& trace = batch.trace;
+    obs::ScopedTraceContext scoped(trace);
+    obs::Span span("serve/exec", kStageExec, "worker");
+    obs::RecordSpan(trace, obs::ChildSpanId(trace.span_id, kStageDispatchWait),
+                    trace.span_id, dispatch_ns, span.start_ns(),
+                    "serve/dispatch_wait", "worker");
     Completion comp;
     comp.conn_id = id;
     ShardKey key = ResolveShardKey(batch.tenant, batch.tile);
     comp.tenant = std::move(key.tenant);
     comp.tile = std::move(key.tile);
     comp.req_recv_ns = recv_ns;
-    comp.trace = batch.trace;
-    ReadingAck ack = [&] {
-      if (!batch.trace.sampled) return sink->Apply(batch);
-      // The pipeline records ingest/apply + ingest/publish spans (and the
-      // registry its swap span) against the active context, chaining the
-      // batch to the epoch it publishes.
-      obs::TraceContext exec_ctx = batch.trace;
-      exec_ctx.span_id = obs::ChildSpanId(batch.trace.span_id, kStageExec);
-      obs::ScopedTraceContext scoped(exec_ctx);
-      return sink->Apply(batch);
-    }();
+    comp.trace = trace;
+    ReadingAck ack = sink->Apply(batch);
     comp.error = ack.rejected > 0 && ack.accepted == 0 && ack.clamped == 0;
-    ack.trace = batch.trace;  // echo
+    ack.trace = trace;  // echo
     comp.type = MsgType::kReadingAck;
     comp.payload = EncodeReadingAck(ack);
-    if (batch.trace.sampled) {
-      RecordSpan(batch.trace,
-                 obs::ChildSpanId(batch.trace.span_id, kStageDispatchWait),
-                 batch.trace.span_id, dispatch_ns, exec_start_ns,
-                 "serve/dispatch_wait", "worker");
-      RecordSpan(batch.trace, obs::ChildSpanId(batch.trace.span_id, kStageExec),
-                 batch.trace.span_id, exec_start_ns, obs::NowNanos(),
-                 "serve/exec", "worker",
-                 {{"tenant", comp.tenant},
-                  {"tile", comp.tile},
-                  {"epoch", std::to_string(ack.epoch)}});
-    }
+    span.Attr("tenant", comp.tenant);
+    span.Attr("tile", comp.tile);
+    span.Attr("epoch", ack.epoch);
     return comp;
   });
 }
@@ -620,10 +583,9 @@ void EventLoopServer::HandleAdmin(Conn& conn,
     return;
   }
   RecordRequestSpans(conn, request->trace, parse_start_ns, obs::NowNanos());
-  // The registry records its load/swap span against the active context, so
-  // a traced admin verb chains verb → build → published epoch.
-  std::optional<obs::ScopedTraceContext> scoped;
-  if (request->trace.sampled) scoped.emplace(request->trace);
+  // The registry's load or swap span chains under the active context, so a
+  // traced admin verb chains verb → build → published epoch.
+  obs::ScopedTraceContext scoped(request->trace);
   const ShardKey key{request->tenant, request->tile};
   AdminResponse response;
   response.verb = request->verb;
@@ -664,22 +626,22 @@ void EventLoopServer::RecordRequestSpans(const Conn& conn,
                                          const obs::TraceContext& ctx,
                                          uint64_t parse_start_ns,
                                          uint64_t parse_end_ns) {
-  if (!ctx.sampled) return;
   // The client's send span: its id travels on the wire, its start is the
   // stamped send time, and it closes when the bytes landed in our socket
   // read. Meaningful when client and server share a steady clock (same
   // machine, as in tests and the CI smoke); omitted if the stamp is absent
   // or the clocks disagree enough to invert the interval.
   if (ctx.start_ns != 0 && conn.last_read_ns >= ctx.start_ns) {
-    RecordSpan(ctx, ctx.span_id, 0, ctx.start_ns, conn.last_read_ns,
-               "client/send", "client");
+    obs::RecordSpan(ctx, ctx.span_id, 0, ctx.start_ns, conn.last_read_ns,
+                    "client/send", "client");
   }
   if (conn.last_read_ns != 0 && parse_start_ns >= conn.last_read_ns) {
-    RecordSpan(ctx, obs::ChildSpanId(ctx.span_id, kStageQueue), ctx.span_id,
-               conn.last_read_ns, parse_start_ns, "serve/queue", "loop");
+    obs::RecordSpan(ctx, obs::ChildSpanId(ctx.span_id, kStageQueue),
+                    ctx.span_id, conn.last_read_ns, parse_start_ns,
+                    "serve/queue", "loop");
   }
-  RecordSpan(ctx, obs::ChildSpanId(ctx.span_id, kStageParse), ctx.span_id,
-             parse_start_ns, parse_end_ns, "serve/parse", "loop");
+  obs::RecordSpan(ctx, obs::ChildSpanId(ctx.span_id, kStageParse), ctx.span_id,
+                  parse_start_ns, parse_end_ns, "serve/parse", "loop");
 }
 
 std::string EventLoopServer::MetricsText() const {
@@ -857,12 +819,9 @@ void EventLoopServer::ProcessCompletions() {
         cell.latency_ns->Observe(latency);
       }
     }
-    if (comp.trace.sampled) {
-      RecordSpan(comp.trace,
-                 obs::ChildSpanId(comp.trace.span_id, kStageWrite),
-                 comp.trace.span_id, write_start_ns, obs::NowNanos(),
-                 "serve/write", "loop");
-    }
+    obs::RecordSpan(comp.trace, obs::ChildSpanId(comp.trace.span_id, kStageWrite),
+                    comp.trace.span_id, write_start_ns, obs::NowNanos(),
+                    "serve/write", "loop");
     if (comp.close_after) conn.closing = true;
     if (!conn.dead) ParseFrames(conn);  // more frames may be buffered
   }

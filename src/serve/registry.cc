@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/trace_context.h"
 
 namespace stpt::serve {
 
@@ -53,27 +52,10 @@ StatusOr<std::shared_ptr<QueryServer>> BuildEngine(Snapshot snapshot) {
   return std::make_shared<QueryServer>(std::move(*engine));
 }
 
-/// Records the registry half of a traced admin chain (load or swap) when the
-/// caller holds a sampled context: the span chains the published epoch to the
-/// ingest/publish (or admin-frame) span driving it.
-void RecordAdminSpan(const char* name, const ShardKey& key, uint64_t epoch,
-                     uint64_t start_ns) {
-  const obs::TraceContext* ctx = obs::CurrentTraceContext();
-  if (ctx == nullptr || !ctx->sampled) return;
-  obs::TraceSpan span;
-  span.trace_hi = ctx->trace_hi;
-  span.trace_lo = ctx->trace_lo;
-  span.span_id = obs::ChildSpanId(ctx->span_id, 1);
-  span.parent_span_id = ctx->span_id;
-  span.start_ns = start_ns;
-  span.end_ns = obs::NowNanos();
-  span.name = name;
-  span.lane = "registry";
-  span.attrs = {{"tenant", key.tenant},
-                {"tile", key.tile},
-                {"epoch", std::to_string(epoch)}};
-  obs::TraceStore::Global().Add(std::move(span));
-}
+/// Stage of the registry's load or swap span under the caller's span: it
+/// chains the published epoch to the ingest/publish (or admin-frame) span
+/// driving it.
+constexpr uint64_t kStageAdmin = 1;
 
 }  // namespace
 
@@ -108,6 +90,7 @@ StatusOr<std::unique_ptr<SnapshotRegistry>> SnapshotRegistry::Create(
 StatusOr<uint64_t> SnapshotRegistry::Load(const ShardKey& key, Snapshot snapshot) {
   STPT_RETURN_IF_ERROR(ValidateKey(key));
   std::lock_guard<std::mutex> admin(admin_mu_);
+  obs::Span span("registry/load", kStageAdmin, "registry");
   {
     std::shared_lock<std::shared_mutex> lock(map_mu_);
     if (shards_.contains(key)) {
@@ -120,7 +103,6 @@ StatusOr<uint64_t> SnapshotRegistry::Load(const ShardKey& key, Snapshot snapshot
           ") reached");
     }
   }
-  const uint64_t start_ns = obs::NowNanos();
   auto engine = BuildEngine(std::move(snapshot));
   if (!engine.ok()) return engine.status();
   auto gen = std::make_shared<ShardGeneration>();
@@ -134,7 +116,9 @@ StatusOr<uint64_t> SnapshotRegistry::Load(const ShardKey& key, Snapshot snapshot
     shards_gauge_->Set(static_cast<double>(shards_.size()));
   }
   loads_->Increment();
-  RecordAdminSpan("registry/load", key, uint64_t{1}, start_ns);
+  span.Attr("tenant", key.tenant);
+  span.Attr("tile", key.tile);
+  span.Attr("epoch", uint64_t{1});
   return uint64_t{1};
 }
 
@@ -148,7 +132,10 @@ StatusOr<uint64_t> SnapshotRegistry::LoadFile(const ShardKey& key,
 StatusOr<uint64_t> SnapshotRegistry::Swap(const ShardKey& key, Snapshot snapshot) {
   STPT_RETURN_IF_ERROR(ValidateKey(key));
   std::lock_guard<std::mutex> admin(admin_mu_);
-  const uint64_t start_ns = obs::NowNanos();
+  // The generation the flip replaces. Declared before the span, so that
+  // freeing it, when this was its last reference, falls outside the span.
+  std::shared_ptr<const ShardGeneration> old;
+  obs::Span span("registry/swap", kStageAdmin, "registry");
   uint64_t epoch = 0;
   {
     // admin_mu_ keeps the shard loaded, and its epoch fixed, until the flip.
@@ -172,14 +159,15 @@ StatusOr<uint64_t> SnapshotRegistry::Swap(const ShardKey& key, Snapshot snapshot
   // The RCU flip: one pointer exchange publishes the new generation. Batches
   // that already captured the old one finish on it; its engine is destroyed,
   // outside the lock, when the last such reference drops.
-  std::shared_ptr<const ShardGeneration> old;
   {
     std::unique_lock<std::shared_mutex> lock(map_mu_);
     old = std::exchange(shards_.at(key), std::move(gen));
   }
   swaps_->Increment();
-  swap_latency_->Observe(static_cast<double>(obs::NowNanos() - start_ns));
-  RecordAdminSpan("registry/swap", key, epoch, start_ns);
+  swap_latency_->Observe(static_cast<double>(obs::NowNanos() - span.start_ns()));
+  span.Attr("tenant", key.tenant);
+  span.Attr("tile", key.tile);
+  span.Attr("epoch", epoch);
   return epoch;
 }
 

@@ -19,6 +19,7 @@
 #include "exec/timing.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
+#include "obs/trace.h"
 
 namespace stpt {
 namespace {
@@ -185,17 +186,17 @@ TEST(RngForkTest, IndexedForkIndependentOfMutatingFork) {
 }
 
 TEST(ScopedTimerTest, AggregatesIntoProfileAndJson) {
-  exec::ResetTimings();
+  obs::ResetTrace();
   {
-    exec::ScopedTimer t("test/region_a");
+    obs::Span t("test/region_a");
   }
   {
-    exec::ScopedTimer t("test/region_a");
+    obs::Span t("test/region_a");
   }
   {
-    exec::ScopedTimer t("test/region_b");
+    obs::Span t("test/region_b");
   }
-  const auto profile = exec::TimingProfile();
+  const auto profile = obs::TraceProfile();
   uint64_t calls_a = 0, calls_b = 0;
   for (const auto& e : profile) {
     if (e.region == "test/region_a") calls_a = e.calls;
@@ -203,10 +204,10 @@ TEST(ScopedTimerTest, AggregatesIntoProfileAndJson) {
   }
   EXPECT_EQ(calls_a, 2u);
   EXPECT_EQ(calls_b, 1u);
-  const std::string json = exec::TimingsJson();
+  const std::string json = exec::MetricsSnapshotJson();
   EXPECT_NE(json.find("\"test/region_a\""), std::string::npos);
   EXPECT_NE(json.find("\"threads\""), std::string::npos);
-  exec::ResetTimings();
+  obs::ResetTrace();
 }
 
 /// End-to-end determinism: the sanitized release must be bit-identical at

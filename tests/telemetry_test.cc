@@ -23,6 +23,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "obs/trace_context.h"
 
 namespace stpt {
 namespace {
@@ -60,17 +61,22 @@ TEST(TraceExportTest, DisabledByDefaultBuffersNoEvents) {
 }
 
 TEST(TraceExportTest, ExportIsBalancedWellFormedAndThreadNamed) {
+  obs::TraceStore::Global().Clear();
   obs::RegisterCurrentThreadName("telemetry-main");
   obs::StartTraceEvents();
   {
     obs::Span outer("telemetry/outer");
     {
-      obs::Span inner("telemetry/inner");
+      // A staged span under a sampled context also lands in the trace
+      // store, which the export splices in as a process of its own.
+      obs::ScopedTraceContext scoped(obs::MakeTraceContext(Rng(3), 0, 1));
+      obs::Span inner("telemetry/inner", 1, "telemetry");
     }
     obs::TraceCounter("telemetry/gauge", 2.5);
   }
   obs::StopTraceEvents();
   const std::string json = obs::ExportChromeTrace();
+  obs::TraceStore::Global().Clear();
 
   // Container shape (golden): a traceEvents array with ms display units.
   EXPECT_EQ(json.rfind("{\"traceEvents\": [", 0), 0u) << json;
@@ -87,6 +93,12 @@ TEST(TraceExportTest, ExportIsBalancedWellFormedAndThreadNamed) {
   EXPECT_NE(json.find("\"args\": {\"value\": 2.5}"), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("telemetry-main"), std::string::npos);
+
+  // The stored span: one complete event and the flow start of its trace,
+  // under the "sampled requests" process.
+  EXPECT_EQ(CountOccurrences(json, "\"ph\": \"X\""), 1u);
+  EXPECT_EQ(CountOccurrences(json, "\"ph\": \"s\""), 1u);
+  EXPECT_NE(json.find("\"name\": \"sampled requests\""), std::string::npos);
 
   // Every object the exporter emits carries the stpt category or is a
   // metadata record; quotes and braces must pair up for the JSON to load.

@@ -38,7 +38,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "exec/thread_pool.h"
-#include "exec/timing.h"
 #include "kernels/backend.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -138,7 +137,7 @@ int Run(const FlagSet& flags) {
   uint64_t accepted = 0, clamped = 0, rejected = 0, epoch = 0;
   std::vector<serve::MeterReading> pending;
   pending.reserve(static_cast<size_t>(batch_size));
-  const int64_t start_ns = exec::NowNanos();
+  const int64_t start_ns = obs::NowNanos();
   for (int64_t i = 0; i < total; ++i) {
     serve::MeterReading r;
     r.meter_id = static_cast<uint64_t>(i);
@@ -163,7 +162,7 @@ int Run(const FlagSet& flags) {
     epoch = ack->epoch;
   }
   const double elapsed_s =
-      static_cast<double>(exec::NowNanos() - start_ns) * 1e-9;
+      static_cast<double>(obs::NowNanos() - start_ns) * 1e-9;
 
   std::printf(
       "streamed %lld readings (%llu accepted, %llu clamped, %llu rejected) "

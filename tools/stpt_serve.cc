@@ -79,7 +79,6 @@
 #include "common/flags.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
-#include "exec/timing.h"
 #include "ingest/clock.h"
 #include "ingest/pipeline.h"
 #include "kernels/backend.h"
@@ -390,7 +389,7 @@ int RunQueryOrVerify(const FlagSet& flags, bool verify) {
   std::string first_sampled_id;
   int sampled_batches = 0;
 
-  const uint64_t start_ns = exec::NowNanos();
+  const uint64_t start_ns = obs::NowNanos();
   double checksum = 0.0;
   int64_t mismatches = 0;
   uint64_t first_epoch = 0;
@@ -423,7 +422,7 @@ int RunQueryOrVerify(const FlagSet& flags, bool verify) {
       }
     }
   }
-  const double secs = static_cast<double>(exec::NowNanos() - start_ns) * 1e-9;
+  const double secs = static_cast<double>(obs::NowNanos() - start_ns) * 1e-9;
   std::printf("%d queries in %.3f s (%.0f q/s), checksum %.6g\n", count, secs,
               secs > 0 ? count / secs : 0.0, checksum);
   if (trace_sample > 0) {
