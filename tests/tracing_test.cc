@@ -4,8 +4,9 @@
 // sweeps shared with the fuzz harnesses), Prometheus label escaping, the
 // per-tenant RED families with histogram exemplars, and end-to-end loopback
 // lineage: a sampled query's full span chain, a sampled ingest batch chaining
-// accept -> republish -> registry swap, and bit-identity of answers and
-// published releases with tracing on vs off at 1 and 8 exec threads.
+// accept -> republish -> registry swap, every stored span tree pinned id for
+// id, and bit-identity of answers and published releases with tracing on vs
+// off at 1 and 8 exec threads.
 
 #include <cstring>
 #include <map>
