@@ -7,12 +7,16 @@
 // the ingest incremental prefix maintenance.
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/stpt.h"
+#include "datagen/dataset.h"
 #include "exec/thread_pool.h"
 #include "grid/consumption_matrix.h"
 #include "ingest/incremental_prefix.h"
@@ -310,6 +314,216 @@ TEST(KernelIngestTest, IncrementalPrefixBitIdenticalAcrossBackends) {
                              baseline.size() * sizeof(double)))
         << backends[i]->name();
   }
+}
+
+// ---- Pinned avx2 MatMul bytes ----------------------------------------------
+
+/// FNV-1a over the bytes of a double vector.
+uint64_t Fnv1a(const std::vector<double>& v) {
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i < v.size() * sizeof(double); ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct MatMulPin {
+  int batch, m, n, k;
+  bool transpose_b, b_batched;
+  uint64_t fwd, bwd_a, bwd_b;  ///< FNV-1a of C, GA and GB
+};
+
+/// Runs the avx2 MatMul family on RNG-filled operands (prefilled backward
+/// accumulators, as the Checker does) and hashes C, GA and GB.
+MatMulPin HashAvx2MatMul(const Backend* avx2, const MatMulPin& pin,
+                         uint64_t seed) {
+  MatMulShape s;
+  s.batch = pin.batch;
+  s.m = pin.m;
+  s.n = pin.n;
+  s.k = pin.k;
+  s.transpose_b = pin.transpose_b;
+  s.b_batched = pin.b_batched;
+  Rng rng(seed);
+  const auto fill = [&rng](size_t n) {
+    std::vector<double> v(n);
+    for (double& x : v) x = rng.Uniform(-1.0, 1.0);
+    return v;
+  };
+  const size_t an = static_cast<size_t>(s.batch) * s.m * s.k;
+  const size_t bn =
+      (s.b_batched ? s.batch : 1) * static_cast<size_t>(s.k) * s.n;
+  const size_t cn = static_cast<size_t>(s.batch) * s.m * s.n;
+  const std::vector<double> a = fill(an), b = fill(bn), g = fill(cn);
+  std::vector<double> c(cn, 0.0), ga = fill(an), gb = fill(bn);
+  avx2->MatMulFwd(a.data(), b.data(), c.data(), s);
+  avx2->MatMulBwdA(g.data(), b.data(), ga.data(), s);
+  avx2->MatMulBwdB(g.data(), a.data(), gb.data(), s);
+  MatMulPin out = pin;
+  out.fwd = Fnv1a(c);
+  out.bwd_a = Fnv1a(ga);
+  out.bwd_b = Fnv1a(gb);
+  return out;
+}
+
+// The avx2 MatMul family's output bytes, held on fixed seeds: every shape
+// one perfbench batch_release publish issues (CER twin, t_train 100, depth
+// 3), the tails of every vector loop (rows % 4, n % 8, n % 4 and k % 16
+// nonzero), shared and batched B, and a product big enough to be
+// partitioned. Any rewrite of the avx2 kernels must keep every hash; the
+// 1- and 8-thread runs must agree with them both.
+TEST(KernelPinTest, Avx2MatMulBytesArePinned) {
+  const Backend* avx2 = GetBackend(BackendKind::kAvx2);
+  if (avx2 == nullptr) GTEST_SKIP() << "CPU lacks AVX2/FMA";
+  const MatMulPin pins[] = {
+      // batch_release: the 18 forward shapes (the backward calls use 12).
+      {1, 1, 1, 32, false, false,
+       0x6e90b3efd4067c47ULL, 0x26a7ee28233916d1ULL, 0x431511e729483b20ULL},
+      {1, 1, 32, 32, false, false,
+       0x9bb40c5a4faedbb7ULL, 0x1e461511438afd0eULL, 0xd5f08026f797bb18ULL},
+      {1, 6, 6, 32, true, true,
+       0x1798a43d76912d7fULL, 0x1845c2136a717184ULL, 0x6c943e0694d117dcULL},
+      {1, 6, 32, 1, false, false,
+       0x26657f94f39ab02aULL, 0x95af9cbfa7d1bae7ULL, 0xcc85620b839bb469ULL},
+      {1, 6, 32, 6, false, true,
+       0xd864e820162172e9ULL, 0x14913e6573f242d4ULL, 0x501143d610c16ba7ULL},
+      {1, 6, 32, 32, false, false,
+       0x213e52f9bbcc8032ULL, 0x136509022aa0e518ULL, 0x0512fdfafc136550ULL},
+      {1, 15, 1, 32, false, false,
+       0x2160caceef32a15eULL, 0xae3b6b05ee2bdbcfULL, 0x0a62195cd14e5b18ULL},
+      {1, 15, 32, 32, false, false,
+       0x4906f2e1477cf3e4ULL, 0xa6960b93a796bfe4ULL, 0x98703de5f2de0a49ULL},
+      {1, 32, 1, 32, false, false,
+       0x883727f0b1b75353ULL, 0x4099499b88320ac2ULL, 0x448d6389cb352452ULL},
+      {1, 32, 32, 32, false, false,
+       0x54135cced6e97e48ULL, 0xadecf0339f288023ULL, 0xe3f8be4ba22d6700ULL},
+      {15, 6, 6, 32, true, true,
+       0x8b3daea509a71da5ULL, 0x9e98ab2db53c1ae7ULL, 0xe96932f34e4aff19ULL},
+      {15, 6, 32, 1, false, false,
+       0x96cf2047a28267d6ULL, 0x38b3cc88cf608586ULL, 0x0125ee163832e433ULL},
+      {15, 6, 32, 6, false, true,
+       0xcf612ee2ec8aea50ULL, 0xf2e773e503fba9d9ULL, 0x1c4764a5d1d0ef47ULL},
+      {15, 6, 32, 32, false, false,
+       0x712d1e2d4bbeb4a2ULL, 0x4eb9e63c2074373eULL, 0x192174c48ec0f941ULL},
+      {32, 6, 6, 32, true, true,
+       0x8915752964d4aa4cULL, 0x4ead8905ca8faf30ULL, 0x1e8374899ab3cfe2ULL},
+      {32, 6, 32, 1, false, false,
+       0xf0b30881bdf9b61bULL, 0x8816cd04e998dd2aULL, 0x331195977571e26cULL},
+      {32, 6, 32, 6, false, true,
+       0x3f914ef6845709f0ULL, 0xe1fb110fa2cd80aeULL, 0x1eb36f8eae03c235ULL},
+      {32, 6, 32, 32, false, false,
+       0x49914bc7411a47baULL, 0x32ce1d335387eb78ULL, 0x342af095c5681822ULL},
+      // Tails: rows % 4, n % 8, n % 4 and k % 16 (4-wide blocks + scalar).
+      {1, 7, 13, 37, false, false,
+       0xc39c693be6dd0e69ULL, 0xd1cf7f8a1e017c2dULL, 0x7d07f870ed7985e4ULL},
+      {1, 7, 13, 37, true, false,
+       0x6ab37ed77f90cebeULL, 0xac2e3994fe3c7b6dULL, 0xc98b5fa3517eb087ULL},
+      {1, 5, 23, 21, false, false,
+       0x9c48d8e6ee3bfd20ULL, 0x9045454833fac840ULL, 0x168929ed03605029ULL},
+      {1, 5, 23, 21, true, false,
+       0xa3b42e00aeaa4cf1ULL, 0x6ba2f4d258599a0aULL, 0x55d31cb4078c8d17ULL},
+      {1, 9, 6, 3, false, false,
+       0xd50286b21012e00dULL, 0x4d5cdafc547ef6eaULL, 0x7616654a10bab13aULL},
+      {1, 9, 6, 3, true, false,
+       0xe10ae123f34cd564ULL, 0x4728f55e6ed75c82ULL, 0xbbef6a9e626a2bfbULL},
+      {1, 3, 4, 19, false, false,
+       0x541fe76636fb0e24ULL, 0x402bf5c241057ca1ULL, 0xf40f20a302c589e4ULL},
+      {1, 3, 4, 19, true, false,
+       0x7817c9471a0ccad0ULL, 0x8692f281b2e367b8ULL, 0xba5e01eaaa92dd3dULL},
+      {1, 11, 17, 33, false, false,
+       0xdce2dd5ce3924fb0ULL, 0xf0cedd43b2059993ULL, 0x3543ac2e200b0192ULL},
+      {1, 11, 17, 33, true, false,
+       0xd99aea7ec3966dbcULL, 0x344655b45bc17d10ULL, 0xf7979bb19a5242b9ULL},
+      {1, 2, 3, 2, false, false,
+       0x2a0ee444d25f5ce4ULL, 0x9bb0a84a85fb2422ULL, 0xbfec6815f62eac7cULL},
+      {1, 2, 3, 2, true, false,
+       0x22e4c46b84fcfefaULL, 0xf177285465b72d86ULL, 0xed9a4e8d1081e332ULL},
+      // Shared and batched B.
+      {3, 5, 9, 33, false, false,
+       0xbc1fc7fa9581386cULL, 0xfc59b9eb08b581e3ULL, 0x44935089f1259c90ULL},
+      {3, 5, 9, 33, true, false,
+       0x740c70302dca9580ULL, 0xf9e054a21807b7cbULL, 0xef6dbcfd84332bb0ULL},
+      {3, 5, 9, 33, false, true,
+       0xf3956b7b869a1980ULL, 0xbd8b685d1d014b85ULL, 0xd5771def312f5c90ULL},
+      {3, 5, 9, 33, true, true,
+       0xbe63dada1f070f76ULL, 0xa6d19ddcd4023dd9ULL, 0xac8e18991e0c1088ULL},
+      {2, 7, 14, 18, false, false,
+       0xb32f598e368ddaaaULL, 0xa6b1bbbf0a7bba32ULL, 0xb2928cd776a78acaULL},
+      {2, 7, 14, 18, true, false,
+       0xbf61395d58a614d7ULL, 0xa813a170b09e8fbcULL, 0x84de276a60d78be1ULL},
+      {2, 7, 14, 18, false, true,
+       0x86727a28972e6671ULL, 0xc7a83013f038c9d2ULL, 0xadabf9d01f869e33ULL},
+      {2, 7, 14, 18, true, true,
+       0x7fa2b630bed39b58ULL, 0xcfd840b3acf5b6bcULL, 0x3fcdb10911afb5bcULL},
+      // Partitioned at any threshold this repo has used.
+      {1, 101, 103, 107, false, false,
+       0xab011f9edbcf2b4eULL, 0x2b0cd24d77a96578ULL, 0xb24980024e0f3e7bULL},
+      {1, 101, 103, 107, true, false,
+       0x765591822903e6c6ULL, 0xe000cbeb094f7e11ULL, 0xd5e7da313757bbceULL},  };
+  for (int threads : {1, 8}) {
+    exec::SetThreads(threads);
+    uint64_t seed = 7000;
+    for (const MatMulPin& pin : pins) {
+      const MatMulPin got = HashAvx2MatMul(avx2, pin, ++seed);
+      const std::string where =
+          "batch=" + std::to_string(pin.batch) + " m=" +
+          std::to_string(pin.m) + " n=" + std::to_string(pin.n) +
+          " k=" + std::to_string(pin.k) +
+          " transpose_b=" + std::to_string(pin.transpose_b) +
+          " b_batched=" + std::to_string(pin.b_batched) +
+          " threads=" + std::to_string(threads);
+      EXPECT_EQ(pin.fwd, got.fwd) << "MatMulFwd " << where;
+      EXPECT_EQ(pin.bwd_a, got.bwd_a) << "MatMulBwdA " << where;
+      EXPECT_EQ(pin.bwd_b, got.bwd_b) << "MatMulBwdB " << where;
+    }
+  }
+  exec::SetThreads(0);
+}
+
+// The sanitized and pattern bytes of ExecIntegrationTest's small release
+// (exec_test.cc), published with each backend as the process default.
+TEST(KernelPinTest, SmallReleaseBytesArePinned) {
+  if (!CpuHasAvx2()) GTEST_SKIP() << "CPU lacks AVX2/FMA";
+  datagen::DatasetSpec spec = datagen::CerSpec();
+  spec.num_households = 60;
+  datagen::GenerateOptions opts;
+  opts.grid_x = opts.grid_y = 8;
+  opts.hours = 40 * 24;
+  Rng gen_rng(77);
+  auto ds = datagen::GenerateDataset(
+      spec, datagen::SpatialDistribution::kUniform, opts, gen_rng);
+  ASSERT_TRUE(ds.ok());
+  auto cons = datagen::BuildConsumptionMatrix(*ds, 24);
+  ASSERT_TRUE(cons.ok());
+  core::StptConfig cfg;
+  cfg.eps_pattern = 10.0;
+  cfg.eps_sanitize = 20.0;
+  cfg.t_train = 20;
+  cfg.quadtree_depth = 2;
+  cfg.quantization_levels = 4;
+  cfg.training.epochs = 2;
+  const double unit = datagen::UnitSensitivity(spec, 24);
+  struct ReleasePin {
+    BackendKind kind;
+    uint64_t sanitized, pattern;
+  };
+  const ReleasePin pins[] = {
+      {BackendKind::kNaive, 0xcdd152f7b68ff205ULL, 0x4c633ad13d542275ULL},
+      {BackendKind::kAvx2, 0xcdd152f7b68ff205ULL, 0x1237d41bdc37c035ULL},
+  };
+  const Backend* before = Default();
+  for (const ReleasePin& pin : pins) {
+    const Backend* backend = GetBackend(pin.kind);
+    SetDefault(backend);
+    Rng rng(555);
+    auto res = core::Stpt(cfg).Publish(*cons, unit, rng);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_EQ(pin.sanitized, Fnv1a(res->sanitized.data())) << backend->name();
+    EXPECT_EQ(pin.pattern, Fnv1a(res->pattern.data())) << backend->name();
+  }
+  SetDefault(before);
 }
 
 }  // namespace
