@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -66,39 +67,216 @@ inline uint64_t SplitMix64Scalar(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-// ---- dense dot product (4 accumulators, FMA) ------------------------------
+// ---- register-blocked MatMul kernels -------------------------------------
+// Every output element keeps one fixed operation chain whatever the block
+// it is computed in, so blocking, tails and partitions never change a bit:
+//  * axpy form (forward, BwdA with transposed B, BwdB): columns below
+//    ncols - ncols % 4 run one FMA chain over the depth, the rest the
+//    scalar multiply-then-add chain;
+//  * dot form (forward with transposed B, BwdA): DotContig's four vector
+//    accumulators, its ((acc0 + acc1) + (acc2 + acc3)) then
+//    ((lane0 + lane2) + (lane1 + lane3)) reduction, and its scalar tail.
 
-inline double DotContig(const double* x, const double* y, int len) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
+/// How a kernel writes the chain it computed into an output element.
+enum class Out {
+  kStore,   ///< out = chain started at +0.0 (forward C)
+  kChain,   ///< the chain starts at out's value (BwdA, transposed B)
+  kAddSum,  ///< out += chain started at +0.0 (BwdA dot form, BwdB)
+};
+
+template <Out kOut>
+inline void Finish(double* out, __m256d v) {
+  if constexpr (kOut == Out::kAddSum) v = _mm256_add_pd(_mm256_loadu_pd(out), v);
+  _mm256_storeu_pd(out, v);
+}
+
+/// Axpy form over R output rows: out[r, j] takes x(r, d) * y[d, j] for
+/// d = 0..depth-1, with x(r, d) = x[r * x_rs + d * x_ds] and rows of y and
+/// out y_ld and out_ld apart. R rows x 8 columns stay in ymm registers
+/// across the whole depth.
+template <int R, Out kOut>
+void AxpyBlock(const double* x, size_t x_rs, size_t x_ds, const double* y,
+               size_t y_ld, int depth, double* out, size_t out_ld,
+               int ncols) {
+  int j = 0;
+  for (; j + 8 <= ncols; j += 8) {
+    __m256d acc[R][2];
+    for (int r = 0; r < R; ++r) {
+      if constexpr (kOut == Out::kChain) {
+        acc[r][0] = _mm256_loadu_pd(out + r * out_ld + j);
+        acc[r][1] = _mm256_loadu_pd(out + r * out_ld + j + 4);
+      } else {
+        acc[r][0] = acc[r][1] = _mm256_setzero_pd();
+      }
+    }
+    for (int d = 0; d < depth; ++d) {
+      const double* yrow = y + static_cast<size_t>(d) * y_ld + j;
+      const __m256d y0 = _mm256_loadu_pd(yrow);
+      const __m256d y1 = _mm256_loadu_pd(yrow + 4);
+      for (int r = 0; r < R; ++r) {
+        const __m256d xv = _mm256_broadcast_sd(x + r * x_rs + d * x_ds);
+        acc[r][0] = _mm256_fmadd_pd(xv, y0, acc[r][0]);
+        acc[r][1] = _mm256_fmadd_pd(xv, y1, acc[r][1]);
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      Finish<kOut>(out + r * out_ld + j, acc[r][0]);
+      Finish<kOut>(out + r * out_ld + j + 4, acc[r][1]);
+    }
+  }
+  if (j + 4 <= ncols) {
+    __m256d acc[R];
+    for (int r = 0; r < R; ++r) {
+      acc[r] = kOut == Out::kChain ? _mm256_loadu_pd(out + r * out_ld + j)
+                                   : _mm256_setzero_pd();
+    }
+    for (int d = 0; d < depth; ++d) {
+      const __m256d yv = _mm256_loadu_pd(y + static_cast<size_t>(d) * y_ld + j);
+      for (int r = 0; r < R; ++r) {
+        acc[r] = _mm256_fmadd_pd(_mm256_broadcast_sd(x + r * x_rs + d * x_ds),
+                                 yv, acc[r]);
+      }
+    }
+    for (int r = 0; r < R; ++r) Finish<kOut>(out + r * out_ld + j, acc[r]);
+    j += 4;
+  }
+  for (; j < ncols; ++j) {
+    for (int r = 0; r < R; ++r) {
+      double* o = out + r * out_ld + j;
+      double sum = kOut == Out::kChain ? *o : 0.0;
+      for (int d = 0; d < depth; ++d) {
+        sum += x[r * x_rs + d * x_ds] * y[static_cast<size_t>(d) * y_ld + j];
+      }
+      *o = kOut == Out::kAddSum ? *o + sum : sum;
+    }
+  }
+}
+
+/// AxpyBlock over any number of rows: blocks of four, then the remainder.
+template <Out kOut>
+void AxpyRows(int64_t rows, const double* x, size_t x_rs, size_t x_ds,
+              const double* y, size_t y_ld, int depth, double* out,
+              size_t out_ld, int ncols) {
+  int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    AxpyBlock<4, kOut>(x + r * x_rs, x_rs, x_ds, y, y_ld, depth,
+                       out + r * out_ld, out_ld, ncols);
+  }
+  x += r * x_rs;
+  out += r * out_ld;
+  switch (rows - r) {
+    case 3:
+      AxpyBlock<3, kOut>(x, x_rs, x_ds, y, y_ld, depth, out, out_ld, ncols);
+      break;
+    case 2:
+      AxpyBlock<2, kOut>(x, x_rs, x_ds, y, y_ld, depth, out, out_ld, ncols);
+      break;
+    case 1:
+      AxpyBlock<1, kOut>(x, x_rs, x_ds, y, y_ld, depth, out, out_ld, ncols);
+      break;
+    default:
+      break;
+  }
+}
+
+/// DotContig's four accumulators for D dots of x with y[0..D-1], each
+/// summed to (acc0 + acc1) + (acc2 + acc3).
+template <int D>
+inline void DotAccs(const double* x, const double* const* y, int len,
+                    __m256d* v) {
+  __m256d acc[D][4];
+  for (int d = 0; d < D; ++d) {
+    for (int q = 0; q < 4; ++q) acc[d][q] = _mm256_setzero_pd();
+  }
   int i = 0;
   for (; i + 16 <= len; i += 16) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 4), _mm256_loadu_pd(y + i + 4),
-                           acc1);
-    acc2 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 8), _mm256_loadu_pd(y + i + 8),
-                           acc2);
-    acc3 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 12),
-                           _mm256_loadu_pd(y + i + 12), acc3);
+    for (int q = 0; q < 4; ++q) {
+      const __m256d xv = _mm256_loadu_pd(x + i + 4 * q);
+      for (int d = 0; d < D; ++d) {
+        acc[d][q] =
+            _mm256_fmadd_pd(xv, _mm256_loadu_pd(y[d] + i + 4 * q), acc[d][q]);
+      }
+    }
   }
   for (; i + 4 <= len; i += 4) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i), acc0);
+    const __m256d xv = _mm256_loadu_pd(x + i);
+    for (int d = 0; d < D; ++d) {
+      acc[d][0] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(y[d] + i), acc[d][0]);
+    }
   }
-  const __m256d acc =
-      _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const __m128d pair = _mm_add_pd(lo, hi);
+  for (int d = 0; d < D; ++d) {
+    v[d] = _mm256_add_pd(_mm256_add_pd(acc[d][0], acc[d][1]),
+                         _mm256_add_pd(acc[d][2], acc[d][3]));
+  }
+}
+
+/// Dense dot product: 4 FMA accumulators, one horizontal reduction, then
+/// the scalar tail.
+inline double DotContig(const double* x, const double* y, int len) {
+  __m256d v;
+  DotAccs<1>(x, &y, len, &v);
+  const __m128d pair =
+      _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
   double s = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  for (; i < len; ++i) s += x[i] * y[i];
+  for (int i = len - len % 4; i < len; ++i) s += x[i] * y[i];
   return s;
 }
 
-/// B-panel depth kept resident across a task's output rows (cache blocking
-/// for the non-transposed forward axpy kernel).
-constexpr int kPanelK = 256;
+/// Four DotContig results in one vector (lane d = DotContig(x, y[d], len)):
+/// two passes of two dots, one shared horizontal reduction, and the scalar
+/// tail added lane-wise.
+inline __m256d Dot4(const double* x, const double* const* y, int len) {
+  __m256d v[4];
+  DotAccs<2>(x, y, len, v);
+  DotAccs<2>(x, y + 2, len, v + 2);
+  // (lane0 + lane2, lane1 + lane3) of dots 0|1 and 2|3, then the pair sums.
+  const __m256d p01 = _mm256_add_pd(_mm256_permute2f128_pd(v[0], v[1], 0x20),
+                                    _mm256_permute2f128_pd(v[0], v[1], 0x31));
+  const __m256d p23 = _mm256_add_pd(_mm256_permute2f128_pd(v[2], v[3], 0x20),
+                                    _mm256_permute2f128_pd(v[2], v[3], 0x31));
+  __m256d s = _mm256_permute4x64_pd(_mm256_hadd_pd(p01, p23), 0xD8);
+  for (int i = len - len % 4; i < len; ++i) {
+    s = _mm256_add_pd(
+        s, _mm256_mul_pd(_mm256_set1_pd(x[i]),
+                         _mm256_set_pd(y[3][i], y[2][i], y[1][i], y[0][i])));
+  }
+  return s;
+}
+
+/// Dot form over one output row: out[j] = (or +=) DotContig(x, y_j, len),
+/// with y_j = y + j * y_ld, four columns per pass.
+template <Out kOut>
+void DotRow(const double* x, const double* y, size_t y_ld, int len,
+            double* out, int ncols) {
+  static_assert(kOut != Out::kChain);
+  int j = 0;
+  for (; j + 4 <= ncols; j += 4) {
+    const double* ys[4] = {y + j * y_ld, y + (j + 1) * y_ld,
+                           y + (j + 2) * y_ld, y + (j + 3) * y_ld};
+    Finish<kOut>(out + j, Dot4(x, ys, len));
+  }
+  for (; j < ncols; ++j) {
+    const double s = DotContig(x, y + j * y_ld, len);
+    out[j] = kOut == Out::kAddSum ? out[j] + s : s;
+  }
+}
+
+/// Calls fn(bt, r0, r1) for each run of output rows in [begin, end) that
+/// shares one B operand. With a shared B all rows form one flat
+/// [rows, k] x [k, n] product; a batched B ends a run at each batch.
+template <class Fn>
+void ForEachBRun(const MatMulShape& s, int64_t begin, int64_t end, Fn&& fn) {
+  if (!s.b_batched) {
+    fn(int64_t{0}, begin, end);
+    return;
+  }
+  for (int64_t r = begin; r < end;) {
+    const int64_t bt = r / s.m;
+    const int64_t stop = std::min(end, (bt + 1) * s.m);
+    fn(bt, r, stop);
+    r = stop;
+  }
+}
 
 class Avx2Backend : public NaiveBackend {
  public:
@@ -111,189 +289,93 @@ class Avx2Backend : public NaiveBackend {
 
   void MatMulFwd(const double* a, const double* b, double* c,
                  const MatMulShape& s) const override {
-    const int m = s.m, n = s.n, k = s.k;
-    const size_t a_stride = s.a_stride();
-    const size_t b_stride = s.b_stride();
-    const size_t c_stride = s.c_stride();
-    const int64_t rows = s.rows();
+    const int n = s.n, k = s.k;
     const auto forward_rows = [&](int64_t begin, int64_t end) {
-      if (s.transpose_b) {
-        // B rows are contiguous in kk: one dense dot per output element.
-        for (int64_t r = begin; r < end; ++r) {
-          const int bt = static_cast<int>(r / m);
-          const int i = static_cast<int>(r % m);
-          const double* A = a + bt * a_stride + static_cast<size_t>(i) * k;
-          const double* B = b + bt * b_stride;
-          double* C = c + bt * c_stride + static_cast<size_t>(i) * n;
-          for (int j = 0; j < n; ++j) {
-            C[j] = DotContig(A, B + static_cast<size_t>(j) * k, k);
+      ForEachBRun(s, begin, end, [&](int64_t bt, int64_t r0, int64_t r1) {
+        const double* B = b + bt * s.b_stride();
+        if (s.transpose_b) {
+          for (int64_t r = r0; r < r1; ++r) {
+            DotRow<Out::kStore>(a + r * k, B, k, k, c + r * n, n);
           }
+        } else {
+          AxpyRows<Out::kStore>(r1 - r0, a + r0 * k, k, 1, B, n, k,
+                                c + r0 * n, n, n);
         }
-      } else {
-        // axpy form: C[i,:] accumulates broadcast(A[i,kk]) * B[kk,:], with
-        // the kk loop split into panels so the B panel stays hot across the
-        // task's rows.
-        for (int64_t r = begin; r < end; ++r) {
-          double* C = c + (r / m) * c_stride +
-                      static_cast<size_t>(r % m) * n;
-          for (int j = 0; j < n; ++j) C[j] = 0.0;
-        }
-        for (int kk0 = 0; kk0 < k; kk0 += kPanelK) {
-          const int kk1 = kk0 + kPanelK < k ? kk0 + kPanelK : k;
-          for (int64_t r = begin; r < end; ++r) {
-            const int bt = static_cast<int>(r / m);
-            const int i = static_cast<int>(r % m);
-            const double* A = a + bt * a_stride + static_cast<size_t>(i) * k;
-            const double* B = b + bt * b_stride;
-            double* C = c + bt * c_stride + static_cast<size_t>(i) * n;
-            for (int kk = kk0; kk < kk1; ++kk) {
-              const __m256d av = _mm256_set1_pd(A[kk]);
-              const double* Brow = B + static_cast<size_t>(kk) * n;
-              int j = 0;
-              for (; j + 4 <= n; j += 4) {
-                _mm256_storeu_pd(
-                    C + j, _mm256_fmadd_pd(av, _mm256_loadu_pd(Brow + j),
-                                           _mm256_loadu_pd(C + j)));
-              }
-              for (; j < n; ++j) C[j] += A[kk] * Brow[j];
-            }
-          }
-        }
-      }
+      });
     };
     if (s.flops() >= kMatMulParallelFlops) {
-      exec::ParallelForRange(rows, forward_rows);
+      exec::ParallelForRange(s.rows(), forward_rows);
     } else {
-      forward_rows(0, rows);
+      forward_rows(0, s.rows());
     }
   }
 
   void MatMulBwdA(const double* g, const double* b, double* ga,
                   const MatMulShape& s) const override {
-    const int m = s.m, n = s.n, k = s.k;
-    const size_t a_stride = s.a_stride();
-    const size_t b_stride = s.b_stride();
-    const size_t c_stride = s.c_stride();
-    const int64_t rows = s.rows();
+    const int n = s.n, k = s.k;
     const auto backward_a = [&](int64_t begin, int64_t end) {
-      for (int64_t r = begin; r < end; ++r) {
-        const int bt = static_cast<int>(r / m);
-        const int i = static_cast<int>(r % m);
-        const double* G = g + bt * c_stride + static_cast<size_t>(i) * n;
-        const double* B = b + bt * b_stride;
-        double* GA = ga + bt * a_stride + static_cast<size_t>(i) * k;
+      ForEachBRun(s, begin, end, [&](int64_t bt, int64_t r0, int64_t r1) {
+        const double* B = b + bt * s.b_stride();
         if (!s.transpose_b) {
-          // GA[kk] += G[i,:] . B[kk,:], both stride-1.
-          for (int kk = 0; kk < k; ++kk) {
-            GA[kk] += DotContig(G, B + static_cast<size_t>(kk) * n, n);
+          // GA[r, kk] += G[r, :] . B[kk, :], both stride-1.
+          for (int64_t r = r0; r < r1; ++r) {
+            DotRow<Out::kAddSum>(g + r * n, B, n, n, ga + r * k, k);
           }
         } else {
-          // B rows are contiguous in kk: axpy broadcast(G[j]) * B[j,:].
-          for (int j = 0; j < n; ++j) {
-            const __m256d gv = _mm256_set1_pd(G[j]);
-            const double* Brow = B + static_cast<size_t>(j) * k;
-            int kk = 0;
-            for (; kk + 4 <= k; kk += 4) {
-              _mm256_storeu_pd(
-                  GA + kk, _mm256_fmadd_pd(gv, _mm256_loadu_pd(Brow + kk),
-                                           _mm256_loadu_pd(GA + kk)));
-            }
-            for (; kk < k; ++kk) GA[kk] += G[j] * Brow[kk];
-          }
+          // B rows are contiguous in kk: axpy broadcast(G[r, j]) * B[j, :].
+          AxpyRows<Out::kChain>(r1 - r0, g + r0 * n, n, 1, B, k, n,
+                                ga + r0 * k, k, k);
         }
-      }
+      });
     };
     if (s.flops() >= kMatMulParallelFlops) {
-      exec::ParallelForRange(rows, backward_a);
+      exec::ParallelForRange(s.rows(), backward_a);
     } else {
-      backward_a(0, rows);
+      backward_a(0, s.rows());
     }
   }
 
   void MatMulBwdB(const double* g, const double* a, double* gb,
                   const MatMulShape& s) const override {
-    const int batch = s.batch, m = s.m, n = s.n, k = s.k;
-    const size_t a_stride = s.a_stride();
-    const size_t b_stride = s.b_stride();
-    const size_t c_stride = s.c_stride();
+    const int m = s.m, n = s.n, k = s.k;
     const bool parallel = s.flops() >= kMatMulParallelFlops;
-    // Vector accumulator over the contiguous GB row axis; the reduction over
-    // i stays inside so each GB element still receives one add per bt.
-    const auto gb_row_plain = [&](const double* G, const double* A, double* GB,
-                                  int kk) {
-      int j = 0;
-      for (; j + 4 <= n; j += 4) {
-        __m256d acc = _mm256_setzero_pd();
-        for (int i = 0; i < m; ++i) {
-          acc = _mm256_fmadd_pd(_mm256_set1_pd(A[i * k + kk]),
-                                _mm256_loadu_pd(G + static_cast<size_t>(i) * n + j),
-                                acc);
-        }
-        double* out = GB + static_cast<size_t>(kk) * n + j;
-        _mm256_storeu_pd(out, _mm256_add_pd(_mm256_loadu_pd(out), acc));
-      }
-      for (; j < n; ++j) {
-        double sum = 0.0;
-        for (int i = 0; i < m; ++i) sum += A[i * k + kk] * G[i * n + j];
-        GB[static_cast<size_t>(kk) * n + j] += sum;
+    // GB rows [begin, end) of batch element bt: each element gets one add
+    // of its own chain over i. Plain: GB[kk, j] += sum_i A[i, kk] G[i, j];
+    // transposed: GB[j, kk] += sum_i G[i, j] A[i, kk].
+    const auto gb_rows = [&](int64_t bt, double* GB, int64_t begin,
+                             int64_t end) {
+      const double* G = g + bt * s.c_stride();
+      const double* A = a + bt * s.a_stride();
+      if (!s.transpose_b) {
+        AxpyRows<Out::kAddSum>(end - begin, A + begin, 1, k, G, n, m,
+                               GB + begin * n, n, n);
+      } else {
+        AxpyRows<Out::kAddSum>(end - begin, G + begin, 1, n, A, k, m,
+                               GB + begin * k, k, k);
       }
     };
-    const auto gb_row_transposed = [&](const double* G, const double* A,
-                                       double* GB, int j) {
-      int kk = 0;
-      for (; kk + 4 <= k; kk += 4) {
-        __m256d acc = _mm256_setzero_pd();
-        for (int i = 0; i < m; ++i) {
-          acc = _mm256_fmadd_pd(_mm256_set1_pd(G[i * n + j]),
-                                _mm256_loadu_pd(A + static_cast<size_t>(i) * k + kk),
-                                acc);
-        }
-        double* out = GB + static_cast<size_t>(j) * k + kk;
-        _mm256_storeu_pd(out, _mm256_add_pd(_mm256_loadu_pd(out), acc));
-      }
-      for (; kk < k; ++kk) {
-        double sum = 0.0;
-        for (int i = 0; i < m; ++i) sum += A[i * k + kk] * G[i * n + j];
-        GB[static_cast<size_t>(j) * k + kk] += sum;
-      }
-    };
+    const int64_t rows = s.transpose_b ? n : k;
     if (s.b_batched) {
       const auto backward_b_batched = [&](int64_t begin, int64_t end) {
         for (int64_t bt = begin; bt < end; ++bt) {
-          const double* G = g + bt * c_stride;
-          const double* A = a + bt * a_stride;
-          double* GB = gb + bt * b_stride;
-          if (!s.transpose_b) {
-            for (int kk = 0; kk < k; ++kk) gb_row_plain(G, A, GB, kk);
-          } else {
-            for (int j = 0; j < n; ++j) gb_row_transposed(G, A, GB, j);
-          }
+          gb_rows(bt, gb + bt * s.b_stride(), 0, rows);
         }
       };
       if (parallel) {
-        exec::ParallelForRange(batch, backward_b_batched);
+        exec::ParallelForRange(s.batch, backward_b_batched);
       } else {
-        backward_b_batched(0, batch);
+        backward_b_batched(0, s.batch);
       }
     } else {
-      const int gb_rows = s.transpose_b ? n : k;
+      // Shared GB: partition its rows; every element still takes its adds
+      // in ascending bt.
       const auto backward_b_shared = [&](int64_t begin, int64_t end) {
-        for (int64_t row = begin; row < end; ++row) {
-          for (int bt = 0; bt < batch; ++bt) {
-            const double* G = g + bt * c_stride;
-            const double* A = a + bt * a_stride;
-            if (!s.transpose_b) {
-              gb_row_plain(G, A, gb, static_cast<int>(row));
-            } else {
-              gb_row_transposed(G, A, gb, static_cast<int>(row));
-            }
-          }
-        }
+        for (int64_t bt = 0; bt < s.batch; ++bt) gb_rows(bt, gb, begin, end);
       };
       if (parallel) {
-        exec::ParallelForRange(gb_rows, backward_b_shared);
+        exec::ParallelForRange(rows, backward_b_shared);
       } else {
-        backward_b_shared(0, gb_rows);
+        backward_b_shared(0, rows);
       }
     }
   }

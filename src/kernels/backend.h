@@ -24,6 +24,8 @@ struct MatMulShape {
   bool b_batched = false;    ///< B carries its own batch dim ([batch, ...])
 
   int64_t rows() const { return static_cast<int64_t>(batch) * m; }
+  /// Multiply-adds in the product, batch·m·n·k (2·m·n·k floating-point
+  /// operations).
   int64_t flops() const { return rows() * n * k; }
   size_t a_stride() const { return static_cast<size_t>(m) * k; }
   size_t b_stride() const {

@@ -46,10 +46,14 @@ const Backend* NaiveBackendInstance();
 /// architecture or the running CPU lacks AVX2/FMA (checked once via CPUID).
 const Backend* Avx2BackendInstance();
 
-/// Products below this many flops run inline instead of on the exec pool
-/// (moved from nn/ops.cc; shared by both backends so dispatch behaviour is
-/// part of the oracle contract, not an implementation detail).
-inline constexpr int64_t kMatMulParallelFlops = 32 * 1024;
+/// Products of fewer than this many multiply-adds (MatMulShape::flops(),
+/// batch·m·n·k) run inline instead of on the exec pool. Shared by both
+/// backends so dispatch behaviour is part of the oracle contract, not an
+/// implementation detail. 2^20 is where the 2-thread pool starts to beat
+/// the inline avx2 kernels on a 4-vCPU VM: a dispatch costs 20-25 us, and
+/// below 2^19 inline wins for every kernel (EXPERIMENTS.md, "Register-
+/// blocked MatMul"). Every product an STPT release trains on runs inline.
+inline constexpr int64_t kMatMulParallelFlops = int64_t{1} << 20;
 
 }  // namespace stpt::kernels
 

@@ -95,9 +95,11 @@ TEST(ParallelForTest, NestedRegionsDoNotDeadlock) {
 }
 
 TEST(ParallelForTest, SerialAndParallelMatMulBitIdentical) {
+  // 128 x 112 x 96 = 1 376 256 multiply-adds: above the kernels' dispatch
+  // threshold (2^20), so the 7-thread product is split across the pool.
   Rng rng(7);
-  const nn::Tensor a = nn::Tensor::Randn({64, 48}, rng, 1.0);
-  const nn::Tensor b = nn::Tensor::Randn({48, 56}, rng, 1.0);
+  const nn::Tensor a = nn::Tensor::Randn({128, 96}, rng, 1.0);
+  const nn::Tensor b = nn::Tensor::Randn({96, 112}, rng, 1.0);
   ThreadGuard guard;
   exec::SetThreads(1);
   const nn::Tensor c1 = nn::MatMul(a, b);

@@ -6,6 +6,7 @@
 // registry / default-dispatch surface and the cross-backend bit-identity of
 // the ingest incremental prefix maintenance.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -22,6 +23,8 @@
 #include "ingest/incremental_prefix.h"
 #include "kernels/backend.h"
 #include "kernels/checker.h"
+#include "kernels/internal.h"
+#include "obs/metrics.h"
 
 namespace stpt::kernels {
 namespace {
@@ -51,24 +54,32 @@ class KernelSweepTest : public ::testing::TestWithParam<int> {
 TEST_P(KernelSweepTest, MatMulAgreesWithOracle) {
   const Backend* naive = GetBackend(BackendKind::kNaive);
   const int sizes[] = {1, 3, 7, 17, 64};
+  struct Dims {
+    int m, n, k;
+  };
+  std::vector<Dims> dims;
+  for (int m : sizes) {
+    for (int n : sizes) {
+      for (int k : sizes) dims.push_back({m, n, k});
+    }
+  }
+  // Odd shapes above the dispatch threshold: the 8-thread run splits them.
+  dims.push_back({101, 103, 107});
+  dims.push_back({131, 67, 129});
   for (const Backend* backend : AllBackends()) {
     Checker checker(naive, backend);
     uint64_t seed = 100;
-    for (int m : sizes) {
-      for (int n : sizes) {
-        for (int k : sizes) {
-          MatMulShape s;
-          s.m = m;
-          s.n = n;
-          s.k = k;
-          ASSERT_TRUE(checker.CheckMatMul(s, ++seed, kMatMulEps).ok())
-              << backend->name() << " m=" << m << " n=" << n << " k=" << k;
-          s.transpose_b = true;
-          ASSERT_TRUE(checker.CheckMatMul(s, ++seed, kMatMulEps).ok())
-              << backend->name() << " (transposed) m=" << m << " n=" << n
-              << " k=" << k;
-        }
-      }
+    for (const Dims& d : dims) {
+      MatMulShape s;
+      s.m = d.m;
+      s.n = d.n;
+      s.k = d.k;
+      ASSERT_TRUE(checker.CheckMatMul(s, ++seed, kMatMulEps).ok())
+          << backend->name() << " m=" << d.m << " n=" << d.n << " k=" << d.k;
+      s.transpose_b = true;
+      ASSERT_TRUE(checker.CheckMatMul(s, ++seed, kMatMulEps).ok())
+          << backend->name() << " (transposed) m=" << d.m << " n=" << d.n
+          << " k=" << d.k;
     }
   }
 }
@@ -78,21 +89,23 @@ TEST_P(KernelSweepTest, BatchedMatMulAgreesWithOracle) {
   for (const Backend* backend : AllBackends()) {
     Checker checker(naive, backend);
     uint64_t seed = 900;
-    for (int batch : {2, 3}) {
+    // {batch, m, n, k}; the last shape is above the dispatch threshold.
+    const int shapes[][4] = {{2, 5, 9, 33}, {3, 5, 9, 33}, {3, 37, 97, 101}};
+    for (const auto& shape : shapes) {
       for (bool b_batched : {false, true}) {
         for (bool transpose_b : {false, true}) {
           MatMulShape s;
-          s.batch = batch;
-          s.m = 5;
-          s.n = 9;
-          s.k = 33;
+          s.batch = shape[0];
+          s.m = shape[1];
+          s.n = shape[2];
+          s.k = shape[3];
           s.b_batched = b_batched;
           s.transpose_b = transpose_b;
           const Status st = checker.CheckMatMul(s, ++seed, kMatMulEps);
           ASSERT_TRUE(st.ok())
-              << backend->name() << " batch=" << batch
-              << " b_batched=" << b_batched << " transpose_b=" << transpose_b
-              << ": " << st.ToString();
+              << backend->name() << " batch=" << s.batch << " m=" << s.m
+              << " n=" << s.n << " k=" << s.k << " b_batched=" << b_batched
+              << " transpose_b=" << transpose_b << ": " << st.ToString();
         }
       }
     }
@@ -203,6 +216,54 @@ TEST_P(KernelSweepTest, DenormalInputsAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, KernelSweepTest, ::testing::Values(1, 8));
+
+// ---- Dispatch threshold ----------------------------------------------------
+
+// A product one multiply-add below kMatMulParallelFlops runs inline in every
+// kernel of every backend; a product at the threshold goes to the pool.
+TEST(KernelDispatchTest, ThresholdSplitsProductsAtTheBoundary) {
+  static_assert(33 * 31 * 1025 == kMatMulParallelFlops - 1);
+  static_assert(32 * 32 * 1024 == kMatMulParallelFlops);
+  const obs::Counter* dispatched = obs::Registry::Global().GetCounter(
+      "stpt_exec_regions_dispatched_total", "");
+  ASSERT_NE(dispatched, nullptr);
+  struct Case {
+    int m, n, k;
+    uint64_t regions;  ///< dispatched regions per kernel call
+  };
+  const Case cases[] = {{33, 31, 1025, 0}, {32, 32, 1024, 1}};
+  exec::SetThreads(2);
+  for (const Backend* backend : AllBackends()) {
+    for (const Case& c : cases) {
+      for (bool transpose_b : {false, true}) {
+        MatMulShape s;
+        s.m = c.m;
+        s.n = c.n;
+        s.k = c.k;
+        s.transpose_b = transpose_b;
+        std::vector<double> a(static_cast<size_t>(c.m) * c.k, 0.5);
+        std::vector<double> b(static_cast<size_t>(c.k) * c.n, 0.25);
+        std::vector<double> g(static_cast<size_t>(c.m) * c.n, 1.0);
+        std::vector<double> out(std::max(a.size(), std::max(b.size(), g.size())));
+        const std::string where = backend->name() + " m=" +
+                                  std::to_string(c.m) + " n=" +
+                                  std::to_string(c.n) + " k=" +
+                                  std::to_string(c.k) +
+                                  " transpose_b=" + std::to_string(transpose_b);
+        uint64_t before = dispatched->Value();
+        backend->MatMulFwd(a.data(), b.data(), out.data(), s);
+        EXPECT_EQ(c.regions, dispatched->Value() - before) << "Fwd " << where;
+        before = dispatched->Value();
+        backend->MatMulBwdA(g.data(), b.data(), out.data(), s);
+        EXPECT_EQ(c.regions, dispatched->Value() - before) << "BwdA " << where;
+        before = dispatched->Value();
+        backend->MatMulBwdB(g.data(), a.data(), out.data(), s);
+        EXPECT_EQ(c.regions, dispatched->Value() - before) << "BwdB " << where;
+      }
+    }
+  }
+  exec::SetThreads(0);
+}
 
 // ---- Validation surface ----------------------------------------------------
 
