@@ -583,36 +583,44 @@ void EventLoopServer::HandleAdmin(Conn& conn,
     return;
   }
   RecordRequestSpans(conn, request->trace, parse_start_ns, obs::NowNanos());
-  // The registry's load or swap span chains under the active context, so a
-  // traced admin verb chains verb → build → published epoch.
-  obs::ScopedTraceContext scoped(request->trace);
   const ShardKey key{request->tenant, request->tile};
   AdminResponse response;
   response.verb = request->verb;
   response.trace = request->trace;  // echo
   Status failed = Status::OK();
-  switch (request->verb) {
-    case AdminVerb::kLoad: {
-      auto epoch = registry_->LoadFile(key, request->path);
-      if (epoch.ok()) {
-        response.epoch = *epoch;
-      } else {
-        failed = epoch.status();
+  {
+    // The verb runs under its own exec span, as a dispatched query or
+    // ingest batch does, so the registry's load or swap span (stage 1 under
+    // it) chains verb → build → published epoch without taking the id of
+    // serve/queue (stage 1 under the request's span).
+    obs::ScopedTraceContext scoped(request->trace);
+    obs::Span span("serve/exec", kStageExec, "loop");
+    span.Attr("tenant", key.tenant);
+    span.Attr("tile", key.tile);
+    switch (request->verb) {
+      case AdminVerb::kLoad: {
+        auto epoch = registry_->LoadFile(key, request->path);
+        if (epoch.ok()) {
+          response.epoch = *epoch;
+        } else {
+          failed = epoch.status();
+        }
+        break;
       }
-      break;
-    }
-    case AdminVerb::kSwap: {
-      auto epoch = registry_->SwapFile(key, request->path);
-      if (epoch.ok()) {
-        response.epoch = *epoch;
-      } else {
-        failed = epoch.status();
+      case AdminVerb::kSwap: {
+        auto epoch = registry_->SwapFile(key, request->path);
+        if (epoch.ok()) {
+          response.epoch = *epoch;
+        } else {
+          failed = epoch.status();
+        }
+        break;
       }
-      break;
+      case AdminVerb::kUnload:
+        failed = registry_->Unload(key);
+        break;
     }
-    case AdminVerb::kUnload:
-      failed = registry_->Unload(key);
-      break;
+    span.Attr("epoch", response.epoch);
   }
   if (!failed.ok()) {
     EnqueueError(conn, failed, /*close_after=*/false);

@@ -8,6 +8,11 @@
 // id, and bit-identity of answers and published releases with tracing on vs
 // off at 1 and 8 exec threads.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cstring>
 #include <map>
 #include <set>
@@ -755,6 +760,64 @@ TEST_F(TraceLoopbackTest, SampledSpanTreesArePinnedIdForId) {
 
   // Nothing else was stored: no stray span, no fifth trace.
   EXPECT_EQ(stored.size(), batch.size() + flush_tree.size() + 6 + 1);
+}
+
+// Client::Admin sends no context, so the sampled admin frame is built by
+// hand. The verb runs under its own serve/exec span: registry/load hangs
+// under it, and no two of the request's spans share an id.
+TEST_F(TraceLoopbackTest, SampledAdminVerbHangsUnderItsExecSpan) {
+  StartServer({4, 4, 8}, 89);
+  Start();
+  const std::string path = testing::TempDir() + "/admin_traced.stpt";
+  ASSERT_TRUE(WriteSnapshot(snapshot_, path).ok());
+
+  AdminRequest request;
+  request.verb = AdminVerb::kLoad;
+  request.tenant = "acme";
+  request.tile = "3";
+  request.path = path;
+  request.trace = SampledContext(15);
+  request.trace.start_ns = obs::NowNanos();
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_TRUE(
+      WriteFrame(fd, MsgType::kAdminRequest, EncodeAdminRequest(request)).ok());
+  auto frame = ReadFrame(fd);
+  ::close(fd);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  ASSERT_EQ(frame->type, MsgType::kAdminResponse);
+  auto response = DecodeAdminResponse(frame->payload);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->epoch, 1u);
+  EXPECT_EQ(response->trace.span_id, request.trace.span_id);
+
+  const std::vector<obs::TraceSpan> stored =
+      obs::TraceStore::Global().Snapshot();
+  std::set<uint64_t> ids;
+  for (const obs::TraceSpan& s : stored) {
+    EXPECT_TRUE(ids.insert(s.span_id).second)
+        << s.name << " reuses span id " << obs::SpanIdHex(s.span_id);
+  }
+  ExpectSpanTree(stored, request.trace,
+                 {{"client/send", nullptr, 0, "client", {}},
+                  {"serve/queue", "", 1, "loop", {}},
+                  {"serve/parse", "", 2, "loop", {}},
+                  {"serve/exec",
+                   "",
+                   4,
+                   "loop",
+                   {{"tenant", "acme"}, {"tile", "3"}, {"epoch", "1"}}},
+                  {"registry/load",
+                   "serve/exec",
+                   1,
+                   "registry",
+                   {{"tenant", "acme"}, {"tile", "3"}, {"epoch", "1"}}}});
+  EXPECT_EQ(stored.size(), 5u);
 }
 
 TEST_F(TraceLoopbackTest, AnswersAreBitIdenticalWithTracingOnAndOff) {
