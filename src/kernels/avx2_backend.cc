@@ -90,54 +90,67 @@ inline void Finish(double* out, __m256d v) {
   _mm256_storeu_pd(out, v);
 }
 
-/// Axpy form over R output rows: out[r, j] takes x(r, d) * y[d, j] for
-/// d = 0..depth-1, with x(r, d) = x[r * x_rs + d * x_ds] and rows of y and
-/// out y_ld and out_ld apart. R rows x 8 columns stay in ymm registers
-/// across the whole depth.
+// The column tiles of AxpyBlock: out[r, c] takes x(r, d) * y[d, c] for
+// d = 0..depth-1, with x(r, d) = x[r * x_rs + d * x_ds] and rows of y and
+// out y_ld and out_ld apart. The rows are spelled out as a pack, so every
+// accumulator index is a constant and the whole tile stays in ymm
+// registers across the depth.
+
+/// Rows x 8 columns: two ymm per row, one broadcast of x(r, d) for both.
+template <Out kOut, int... r>
+inline void AxpyTile8(std::integer_sequence<int, r...>, const double* x,
+                      size_t x_rs, size_t x_ds, const double* y, size_t y_ld,
+                      int depth, double* out, size_t out_ld) {
+  __m256d lo[] = {kOut == Out::kChain ? _mm256_loadu_pd(out + r * out_ld)
+                                      : _mm256_setzero_pd()...};
+  __m256d hi[] = {kOut == Out::kChain ? _mm256_loadu_pd(out + r * out_ld + 4)
+                                      : _mm256_setzero_pd()...};
+  for (int d = 0; d < depth; ++d) {
+    const double* yrow = y + static_cast<size_t>(d) * y_ld;
+    const __m256d y0 = _mm256_loadu_pd(yrow);
+    const __m256d y1 = _mm256_loadu_pd(yrow + 4);
+    (
+        [&] {
+          const __m256d xv = _mm256_broadcast_sd(x + r * x_rs + d * x_ds);
+          lo[r] = _mm256_fmadd_pd(xv, y0, lo[r]);
+          hi[r] = _mm256_fmadd_pd(xv, y1, hi[r]);
+        }(),
+        ...);
+  }
+  (Finish<kOut>(out + r * out_ld, lo[r]), ...);
+  (Finish<kOut>(out + r * out_ld + 4, hi[r]), ...);
+}
+
+/// Rows x 4 columns: one ymm per row.
+template <Out kOut, int... r>
+inline void AxpyTile4(std::integer_sequence<int, r...>, const double* x,
+                      size_t x_rs, size_t x_ds, const double* y, size_t y_ld,
+                      int depth, double* out, size_t out_ld) {
+  __m256d acc[] = {kOut == Out::kChain ? _mm256_loadu_pd(out + r * out_ld)
+                                       : _mm256_setzero_pd()...};
+  for (int d = 0; d < depth; ++d) {
+    const __m256d yv = _mm256_loadu_pd(y + static_cast<size_t>(d) * y_ld);
+    ((acc[r] = _mm256_fmadd_pd(_mm256_broadcast_sd(x + r * x_rs + d * x_ds),
+                               yv, acc[r])),
+     ...);
+  }
+  (Finish<kOut>(out + r * out_ld, acc[r]), ...);
+}
+
+/// Axpy form over R output rows and all ncols columns: 8-wide tiles, one
+/// 4-wide tile, then the scalar multiply-then-add chain for the last
+/// ncols % 4 columns.
 template <int R, Out kOut>
 void AxpyBlock(const double* x, size_t x_rs, size_t x_ds, const double* y,
                size_t y_ld, int depth, double* out, size_t out_ld,
                int ncols) {
+  constexpr auto rows = std::make_integer_sequence<int, R>{};
   int j = 0;
   for (; j + 8 <= ncols; j += 8) {
-    __m256d acc[R][2];
-    for (int r = 0; r < R; ++r) {
-      if constexpr (kOut == Out::kChain) {
-        acc[r][0] = _mm256_loadu_pd(out + r * out_ld + j);
-        acc[r][1] = _mm256_loadu_pd(out + r * out_ld + j + 4);
-      } else {
-        acc[r][0] = acc[r][1] = _mm256_setzero_pd();
-      }
-    }
-    for (int d = 0; d < depth; ++d) {
-      const double* yrow = y + static_cast<size_t>(d) * y_ld + j;
-      const __m256d y0 = _mm256_loadu_pd(yrow);
-      const __m256d y1 = _mm256_loadu_pd(yrow + 4);
-      for (int r = 0; r < R; ++r) {
-        const __m256d xv = _mm256_broadcast_sd(x + r * x_rs + d * x_ds);
-        acc[r][0] = _mm256_fmadd_pd(xv, y0, acc[r][0]);
-        acc[r][1] = _mm256_fmadd_pd(xv, y1, acc[r][1]);
-      }
-    }
-    for (int r = 0; r < R; ++r) {
-      Finish<kOut>(out + r * out_ld + j, acc[r][0]);
-      Finish<kOut>(out + r * out_ld + j + 4, acc[r][1]);
-    }
+    AxpyTile8<kOut>(rows, x, x_rs, x_ds, y + j, y_ld, depth, out + j, out_ld);
   }
   if (j + 4 <= ncols) {
-    __m256d acc[R];
-    for (int r = 0; r < R; ++r) {
-      acc[r] = kOut == Out::kChain ? _mm256_loadu_pd(out + r * out_ld + j)
-                                   : _mm256_setzero_pd();
-    }
-    for (int d = 0; d < depth; ++d) {
-      const __m256d yv = _mm256_loadu_pd(y + static_cast<size_t>(d) * y_ld + j);
-      for (int r = 0; r < R; ++r) {
-        acc[r] = _mm256_fmadd_pd(_mm256_broadcast_sd(x + r * x_rs + d * x_ds),
-                                 yv, acc[r]);
-      }
-    }
-    for (int r = 0; r < R; ++r) Finish<kOut>(out + r * out_ld + j, acc[r]);
+    AxpyTile4<kOut>(rows, x, x_rs, x_ds, y + j, y_ld, depth, out + j, out_ld);
     j += 4;
   }
   for (; j < ncols; ++j) {
@@ -179,42 +192,45 @@ void AxpyRows(int64_t rows, const double* x, size_t x_rs, size_t x_ds,
   }
 }
 
-/// DotContig's four accumulators for D dots of x with y[0..D-1], each
-/// summed to (acc0 + acc1) + (acc2 + acc3).
-template <int D>
-inline void DotAccs(const double* x, const double* const* y, int len,
-                    __m256d* v) {
-  __m256d acc[D][4];
-  for (int d = 0; d < D; ++d) {
-    for (int q = 0; q < 4; ++q) acc[d][q] = _mm256_setzero_pd();
-  }
+/// DotContig's four accumulators for the dots of x with y[d], d in the
+/// pack, each summed to (acc0 + acc1) + (acc2 + acc3) into v[d]. acc_q
+/// takes elements 16b + 4q .. 16b + 4q + 3 of each 16-block b; the 4-wide
+/// blocks after the last 16-block go into acc0.
+template <int... d>
+inline void DotAccs(std::integer_sequence<int, d...>, const double* x,
+                    const double* const* y, int len, __m256d* v) {
+  __m256d acc0[] = {((void)d, _mm256_setzero_pd())...};
+  __m256d acc1[] = {((void)d, _mm256_setzero_pd())...};
+  __m256d acc2[] = {((void)d, _mm256_setzero_pd())...};
+  __m256d acc3[] = {((void)d, _mm256_setzero_pd())...};
   int i = 0;
   for (; i + 16 <= len; i += 16) {
-    for (int q = 0; q < 4; ++q) {
-      const __m256d xv = _mm256_loadu_pd(x + i + 4 * q);
-      for (int d = 0; d < D; ++d) {
-        acc[d][q] =
-            _mm256_fmadd_pd(xv, _mm256_loadu_pd(y[d] + i + 4 * q), acc[d][q]);
-      }
-    }
+    const __m256d x0 = _mm256_loadu_pd(x + i);
+    const __m256d x1 = _mm256_loadu_pd(x + i + 4);
+    const __m256d x2 = _mm256_loadu_pd(x + i + 8);
+    const __m256d x3 = _mm256_loadu_pd(x + i + 12);
+    ((acc0[d] = _mm256_fmadd_pd(x0, _mm256_loadu_pd(y[d] + i), acc0[d])), ...);
+    ((acc1[d] = _mm256_fmadd_pd(x1, _mm256_loadu_pd(y[d] + i + 4), acc1[d])),
+     ...);
+    ((acc2[d] = _mm256_fmadd_pd(x2, _mm256_loadu_pd(y[d] + i + 8), acc2[d])),
+     ...);
+    ((acc3[d] = _mm256_fmadd_pd(x3, _mm256_loadu_pd(y[d] + i + 12), acc3[d])),
+     ...);
   }
   for (; i + 4 <= len; i += 4) {
     const __m256d xv = _mm256_loadu_pd(x + i);
-    for (int d = 0; d < D; ++d) {
-      acc[d][0] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(y[d] + i), acc[d][0]);
-    }
+    ((acc0[d] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(y[d] + i), acc0[d])), ...);
   }
-  for (int d = 0; d < D; ++d) {
-    v[d] = _mm256_add_pd(_mm256_add_pd(acc[d][0], acc[d][1]),
-                         _mm256_add_pd(acc[d][2], acc[d][3]));
-  }
+  ((v[d] = _mm256_add_pd(_mm256_add_pd(acc0[d], acc1[d]),
+                         _mm256_add_pd(acc2[d], acc3[d]))),
+   ...);
 }
 
 /// Dense dot product: 4 FMA accumulators, one horizontal reduction, then
 /// the scalar tail.
 inline double DotContig(const double* x, const double* y, int len) {
   __m256d v;
-  DotAccs<1>(x, &y, len, &v);
+  DotAccs(std::integer_sequence<int, 0>{}, x, &y, len, &v);
   const __m128d pair =
       _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
   double s = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
@@ -227,8 +243,8 @@ inline double DotContig(const double* x, const double* y, int len) {
 /// tail added lane-wise.
 inline __m256d Dot4(const double* x, const double* const* y, int len) {
   __m256d v[4];
-  DotAccs<2>(x, y, len, v);
-  DotAccs<2>(x, y + 2, len, v + 2);
+  DotAccs(std::integer_sequence<int, 0, 1>{}, x, y, len, v);
+  DotAccs(std::integer_sequence<int, 0, 1>{}, x, y + 2, len, v + 2);
   // (lane0 + lane2, lane1 + lane3) of dots 0|1 and 2|3, then the pair sums.
   const __m256d p01 = _mm256_add_pd(_mm256_permute2f128_pd(v[0], v[1], 0x20),
                                     _mm256_permute2f128_pd(v[0], v[1], 0x31));
