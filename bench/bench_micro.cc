@@ -226,6 +226,41 @@ void KernelMatMul(benchmark::State& state, const kernels::Backend* backend) {
   state.SetItemsProcessed(state.iterations() * shape.flops());
 }
 
+// The products the STPT pattern model trains on, all below the dispatch
+// threshold so they run inline: a GRU gate over a 32-sequence batch
+// (batch 1, 32 x 32 x 32) and the attention projections over 32 sequences
+// of 6 steps (batch 32 with shared B, 192 x 32 x 32). Args are
+// {batch, m, n, k}; the backward rows time MatMulBwdA + MatMulBwdB.
+void KernelMatMulNN(benchmark::State& state, const kernels::Backend* backend,
+                    bool backward) {
+  Rng rng(9);
+  kernels::MatMulShape shape;
+  shape.batch = static_cast<int>(state.range(0));
+  shape.m = static_cast<int>(state.range(1));
+  shape.n = static_cast<int>(state.range(2));
+  shape.k = static_cast<int>(state.range(3));
+  std::vector<double> a(shape.batch * shape.a_stride());
+  std::vector<double> b(static_cast<size_t>(shape.k) * shape.n);
+  std::vector<double> g(shape.batch * shape.c_stride());
+  for (auto* v : {&a, &b, &g}) {
+    for (auto& x : *v) x = rng.NextDouble();
+  }
+  std::vector<double> c(g.size()), ga(a.size()), gb(b.size());
+  for (auto _ : state) {
+    if (backward) {
+      backend->MatMulBwdA(g.data(), b.data(), ga.data(), shape);
+      backend->MatMulBwdB(g.data(), a.data(), gb.data(), shape);
+      benchmark::DoNotOptimize(ga.data());
+      benchmark::DoNotOptimize(gb.data());
+    } else {
+      backend->MatMulFwd(a.data(), b.data(), c.data(), shape);
+      benchmark::DoNotOptimize(c.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * shape.flops() *
+                          (backward ? 2 : 1));
+}
+
 void KernelFftPow2(benchmark::State& state, const kernels::Backend* backend) {
   Rng rng(2);
   std::vector<std::complex<double>> data(state.range(0));
@@ -280,6 +315,16 @@ void RegisterKernelBenchmarks() {
         ->Arg(128)
         ->Arg(256)
         ->Unit(benchmark::kMicrosecond);
+    for (const bool backward : {false, true}) {
+      benchmark::RegisterBenchmark(
+          ((backward ? "BM_KernelMatMulNNBwd" : "BM_KernelMatMulNN") + key)
+              .c_str(),
+          KernelMatMulNN, backend, backward)
+          ->Args({1, 32, 32, 32})
+          ->Args({32, 6, 32, 32})
+          ->ArgNames({"batch", "m", "n", "k"})
+          ->Unit(benchmark::kMicrosecond);
+    }
     benchmark::RegisterBenchmark(("BM_KernelFftPow2" + key).c_str(),
                                  KernelFftPow2, backend)
         ->Arg(1024)

@@ -13,8 +13,17 @@ enforces two properties:
      (the committed baseline is recorded on an AVX2 machine, so absolute
      times are not comparable there).
   2. Within the fresh run, the avx2 backend is at least --min-speedup
-     (default 1.5x) faster than naive on the MatMul and PrefixSum kernel
-     families. Skipped when the runner lacks AVX2.
+     (default 1.5x) faster than naive on every row of the MatMul and
+     PrefixSum kernel families. Skipped when the runner lacks AVX2. The
+     MatMul rows are:
+       BM_KernelMatMul/backend:<b>/{128,256}    square forward products,
+                                                 split across the exec pool;
+       BM_KernelMatMulNN/backend:<b>/batch:1/m:32/n:32/k:32 and
+         .../batch:32/m:6/n:32/k:32             the pattern model's forward
+                                                 products (32x32x32 and
+                                                 192x32x32), run inline;
+       BM_KernelMatMulNNBwd/backend:<b>/...     the same two shapes through
+                                                 MatMulBwdA + MatMulBwdB.
 
 Rows present in only one file are reported but never fail the gate, so
 adding or retiring benchmarks does not require lockstep baseline updates.
@@ -30,7 +39,8 @@ import sys
 
 GATED_PREFIXES = ("BM_Kernel", "BM_SnapshotEncode", "BM_SnapshotDecode",
                   "BM_Crc32", "BM_MatrixExtrema")
-SPEEDUP_FAMILIES = ("BM_KernelMatMul", "BM_KernelPrefixSum")
+SPEEDUP_FAMILIES = ("BM_KernelMatMul", "BM_KernelMatMulNN",
+                    "BM_KernelMatMulNNBwd", "BM_KernelPrefixSum")
 
 
 def load_rows(path):
