@@ -49,9 +49,10 @@ const Backend* Avx2BackendInstance();
 /// Products of fewer than this many multiply-adds (MatMulShape::flops(),
 /// batch·m·n·k) run inline instead of on the exec pool. Shared by both
 /// backends so dispatch behaviour is part of the oracle contract, not an
-/// implementation detail. 2^20 is where the 2-thread pool starts to beat
-/// the inline avx2 kernels on a 4-vCPU VM: a dispatch costs 20-25 us, and
-/// below 2^19 inline wins for every kernel (EXPERIMENTS.md, "Register-
+/// implementation detail. On a 4-vCPU VM a dispatch costs 20-30 us, the
+/// inline avx2 kernels beat the 2-thread pool for every kernel below
+/// 2^18.5, and the pool starts to win somewhere between 2^18.5 (BwdA) and
+/// 2^21 (forward); 2^20 sits in that band (EXPERIMENTS.md, "Register-
 /// blocked MatMul"). Every product an STPT release trains on runs inline.
 inline constexpr int64_t kMatMulParallelFlops = int64_t{1} << 20;
 
