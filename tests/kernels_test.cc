@@ -3,8 +3,9 @@
 // odd and power-of-two shapes and at 1 and 8 exec threads. Scan, Haar, and
 // sampler kernels must match bitwise; MatMul and FFT to a small relative
 // epsilon (backend.h documents the tolerance policy). Also covers the
-// registry / default-dispatch surface and the cross-backend bit-identity of
-// the ingest incremental prefix maintenance.
+// registry / default-dispatch surface, the MatMul dispatch threshold, the
+// pinned bytes of the avx2 MatMul family and of a small release, and the
+// cross-backend bit-identity of the ingest incremental prefix maintenance.
 
 #include <algorithm>
 #include <cmath>
