@@ -519,7 +519,7 @@ TEST(KernelPinTest, Avx2MatMulBytesArePinned) {
        0x86727a28972e6671ULL, 0xc7a83013f038c9d2ULL, 0xadabf9d01f869e33ULL},
       {2, 7, 14, 18, true, true,
        0x7fa2b630bed39b58ULL, 0xcfd840b3acf5b6bcULL, 0x3fcdb10911afb5bcULL},
-      // Partitioned at any threshold this repo has used.
+      // Above the dispatch threshold: split across the pool at 8 threads.
       {1, 101, 103, 107, false, false,
        0xab011f9edbcf2b4eULL, 0x2b0cd24d77a96578ULL, 0xb24980024e0f3e7bULL},
       {1, 101, 103, 107, true, false,
