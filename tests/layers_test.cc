@@ -1,8 +1,13 @@
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "kernels/backend.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "nn/predictor.h"
@@ -128,6 +133,98 @@ TEST(GruCellTest, MultiStepGradients) {
     h = cell.Forward(x1, h);
     return MseLoss(h, y);
   });
+}
+
+// The GRU step as a chain of primitive ops, over GruCell's parameters in
+// Parameters() order. This is the formula GruCell computed before its step
+// became one tape node, kept as the oracle that node must match bit for bit.
+Tensor OpByOpGruStep(const std::vector<Tensor>& p, const Tensor& x,
+                     const Tensor& h) {
+  const Tensor &wxz = p[0], &whz = p[1], &bz = p[2];
+  const Tensor &wxr = p[3], &whr = p[4], &br = p[5];
+  const Tensor &wxn = p[6], &whn = p[7], &bn = p[8];
+  const Tensor z = Sigmoid(Add(Add(MatMul(x, wxz), MatMul(h, whz)), bz));
+  const Tensor r = Sigmoid(Add(Add(MatMul(x, wxr), MatMul(h, whr)), br));
+  const Tensor n = Tanh(Add(Add(MatMul(x, wxn), MatMul(Mul(r, h), whn)), bn));
+  // h' = (1 - z) * n + z * h
+  const Tensor one_minus_z = AddScalar(Scale(z, -1.0), 1.0);
+  return Add(Mul(one_minus_z, n), Mul(z, h));
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(double));
+  return out;
+}
+
+struct GruRun {
+  std::vector<uint64_t> output;
+  std::vector<std::vector<uint64_t>> grads;  // cell params, head, input, h0
+};
+
+// GruCell against the op-by-op oracle over every SliceSeq step of a
+// [b, s, in] leaf, through a Linear head, MseLoss and Backward(): the
+// output and every gradient must have equal bytes. Finite differences
+// cannot see a change in the order in which the tape sums a gradient;
+// this can. Runs under every registered backend.
+TEST(GruCellTest, MatchesOpByOpOracleBitForBit) {
+  struct Shape {
+    int batch, in, hidden;
+  };
+  const kernels::Backend* before = kernels::Default();
+  for (const std::string& name : kernels::Registry::Names()) {
+    auto backend = kernels::Registry::Create(name);
+    ASSERT_TRUE(backend.ok()) << name;
+    kernels::SetDefault(*backend);
+    for (const Shape shape : {Shape{3, 5, 7}, Shape{32, 32, 32}}) {
+      for (const int steps : {1, 2, 6}) {
+        SCOPED_TRACE(name + " b=" + std::to_string(shape.batch) +
+                     " in=" + std::to_string(shape.in) +
+                     " hidden=" + std::to_string(shape.hidden) +
+                     " s=" + std::to_string(steps));
+        Rng rng(100 + steps);
+        GruCell cell(shape.in, shape.hidden, rng);
+        Linear head(shape.hidden, 1, rng);
+        std::vector<Tensor> params = cell.Parameters();
+        // Nonzero biases, so that every broadcast term carries bits.
+        for (Tensor& p : params) {
+          for (double& v : p.data()) v = rng.Gaussian(0.0, 0.5);
+        }
+        const Tensor input =
+            Tensor::Randn({shape.batch, steps, shape.in}, rng, 1.0, true);
+        const Tensor h0 = Tensor::Randn({shape.batch, shape.hidden}, rng, 1.0, true);
+        const Tensor target = Tensor::Randn({shape.batch, 1}, rng, 1.0);
+        std::vector<Tensor> leaves = params;
+        for (const Tensor& p : head.Parameters()) leaves.push_back(p);
+        leaves.push_back(input);
+        leaves.push_back(h0);
+
+        const auto run = [&](bool oracle) {
+          for (Tensor& t : leaves) t.ZeroGrad();
+          Tensor h = h0;
+          for (int t = 0; t < steps; ++t) {
+            const Tensor xt = SliceSeq(input, t);
+            h = oracle ? OpByOpGruStep(params, xt, h) : cell.Forward(xt, h);
+          }
+          Tensor loss = MseLoss(head.Forward(h), target);
+          loss.Backward();
+          GruRun out;
+          out.output = Bits(h.data());
+          out.output.push_back(Bits(loss.data())[0]);
+          for (const Tensor& t : leaves) out.grads.push_back(Bits(t.grad()));
+          return out;
+        };
+        const GruRun want = run(/*oracle=*/true);
+        const GruRun got = run(/*oracle=*/false);
+        EXPECT_EQ(want.output, got.output);
+        ASSERT_EQ(want.grads.size(), got.grads.size());
+        for (size_t i = 0; i < want.grads.size(); ++i) {
+          EXPECT_EQ(want.grads[i], got.grads[i]) << "leaf " << i;
+        }
+      }
+    }
+  }
+  kernels::SetDefault(before);
 }
 
 TEST(LstmCellTest, ZeroStateHelper) {

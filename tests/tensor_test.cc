@@ -1,5 +1,8 @@
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -380,6 +383,85 @@ TEST(GradCheckTest, DiamondGraphReuse) {
         return SumAll(Add(Mul(s, in[0]), Mul(s, s)));
       },
       {{2, 2}}, 31);
+}
+
+// --------------------------- Broadcast bytes ---------------------------
+
+/// Each element's bit pattern, so that equality means equal bytes.
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(double));
+  return out;
+}
+
+enum class BroadcastOp { kAdd, kMul, kMulSelf };
+
+/// Add or Mul of a [a_shape] tensor and a suffix-broadcast operand, forward
+/// and backward, against reference loops that index the operand as
+/// b[i % bn]: the bytes must be equal. kMulSelf is Mul(a, a), as MseLoss
+/// squares its difference. Both leaves start with nonzero gradients, so the
+/// backward also accumulates onto an earlier pass.
+void ExpectBroadcastBytes(BroadcastOp op, const std::vector<int>& a_shape,
+                          const std::vector<int>& b_shape, uint64_t seed) {
+  SCOPED_TRACE("op " + std::to_string(static_cast<int>(op)) + " b rank " +
+               std::to_string(b_shape.size()));
+  Rng rng(seed);
+  Tensor a = Tensor::Randn(a_shape, rng, 1.0, true);
+  Tensor b = op == BroadcastOp::kMulSelf ? a : Tensor::Randn(b_shape, rng, 1.0, true);
+  const Tensor upstream = Tensor::Randn(a_shape, rng, 1.0);
+  for (double& g : a.grad()) g = rng.Gaussian(0.0, 1.0);
+  for (double& g : b.grad()) g = rng.Gaussian(0.0, 1.0);
+
+  const size_t n = a.numel();
+  const size_t bn = b.numel();
+  const std::vector<double>& ad = a.data();
+  const std::vector<double>& bd = b.data();
+  const std::vector<double>& u = upstream.data();
+  std::vector<double> out(n);
+  std::vector<double> ga = a.grad();
+  std::vector<double> gb = b.grad();
+  double* rga = ga.data();
+  double* rgb = op == BroadcastOp::kMulSelf ? rga : gb.data();
+  if (op == BroadcastOp::kAdd) {
+    for (size_t i = 0; i < n; ++i) out[i] = ad[i] + bd[i % bn];
+    for (size_t i = 0; i < n; ++i) rga[i] += u[i];
+    for (size_t i = 0; i < n; ++i) rgb[i % bn] += u[i];
+  } else {
+    for (size_t i = 0; i < n; ++i) out[i] = ad[i] * bd[i % bn];
+    for (size_t i = 0; i < n; ++i) {
+      rga[i] += u[i] * bd[i % bn];
+      rgb[i % bn] += u[i] * ad[i];
+    }
+  }
+
+  const Tensor got = op == BroadcastOp::kAdd ? Add(a, b) : Mul(a, b);
+  // d(sum(got * upstream))/d(got) is upstream itself.
+  SumAll(Mul(got, upstream)).Backward();
+  EXPECT_EQ(Bits(out), Bits(got.data()));
+  EXPECT_EQ(Bits(ga), Bits(a.grad()));
+  if (op != BroadcastOp::kMulSelf) {
+    EXPECT_EQ(Bits(gb), Bits(b.grad()));
+  }
+}
+
+TEST(BroadcastBytesTest, AddMatchesModuloReference) {
+  // The bias ([d]), positional-encoding ([s, d]) and elementwise cases.
+  ExpectBroadcastBytes(BroadcastOp::kAdd, {4, 6, 5}, {5}, 41);
+  ExpectBroadcastBytes(BroadcastOp::kAdd, {4, 6, 5}, {6, 5}, 42);
+  ExpectBroadcastBytes(BroadcastOp::kAdd, {4, 6, 5}, {4, 6, 5}, 43);
+  ExpectBroadcastBytes(BroadcastOp::kAdd, {7, 3}, {3}, 44);
+}
+
+TEST(BroadcastBytesTest, MulMatchesModuloReference) {
+  ExpectBroadcastBytes(BroadcastOp::kMul, {4, 6, 5}, {5}, 45);
+  ExpectBroadcastBytes(BroadcastOp::kMul, {4, 6, 5}, {6, 5}, 46);
+  ExpectBroadcastBytes(BroadcastOp::kMul, {4, 6, 5}, {4, 6, 5}, 47);
+  ExpectBroadcastBytes(BroadcastOp::kMul, {7, 3}, {3}, 48);
+}
+
+TEST(BroadcastBytesTest, MulOfATensorWithItselfMatchesReference) {
+  ExpectBroadcastBytes(BroadcastOp::kMulSelf, {4, 6, 5}, {4, 6, 5}, 49);
+  ExpectBroadcastBytes(BroadcastOp::kMulSelf, {32, 1}, {32, 1}, 50);
 }
 
 }  // namespace
