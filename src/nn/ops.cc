@@ -44,17 +44,24 @@ bool IsSuffix(const std::vector<int>& shape,
   return true;
 }
 
-void AccumulateBroadcastGrad(TensorImpl& node, TensorImpl* parent,
-                             const std::vector<double>& factor_or_empty) {
-  // node.grad has node size; parent may be a suffix-broadcast operand.
-  const size_t pn = parent->data.size();
-  const size_t nn = node.data.size();
-  assert(nn % pn == 0);
-  for (size_t i = 0; i < nn; ++i) {
-    const double g =
-        factor_or_empty.empty() ? node.grad[i] : node.grad[i] * factor_or_empty[i];
-    parent->grad[i % pn] += g;
+/// Calls f(i, j) for every element i of an n-element broadcast result, with
+/// j = i % bn the matching element of its bn-element suffix operand. It
+/// walks the operand row by row instead of dividing once per element; i
+/// still runs in order, so every accumulation keeps its order.
+template <typename F>
+void ForEachBroadcast(size_t n, size_t bn, F&& f) {
+  assert(n % bn == 0);
+  for (size_t row = 0; row < n; row += bn) {
+    for (size_t j = 0; j < bn; ++j) f(row + j, j);
   }
+}
+
+void AccumulateBroadcastGrad(TensorImpl& node, TensorImpl* parent) {
+  // node.grad has node size; parent may be a suffix-broadcast operand.
+  const double* g = node.grad.data();
+  double* pg = parent->grad.data();
+  ForEachBroadcast(node.data.size(), parent->data.size(),
+                   [&](size_t i, size_t j) { pg[j] += g[i]; });
 }
 
 }  // namespace
@@ -64,16 +71,17 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   OpRequire(IsSuffix(a.shape(), b.shape()),
             "Add: b must equal or suffix-broadcast a");
   auto node = MakeNode(a.shape(), {a.impl(), b.impl()});
-  const size_t bn = b.numel();
-  for (size_t i = 0; i < node->data.size(); ++i) {
-    node->data[i] = a.data()[i] + b.data()[i % bn];
-  }
+  const double* ad = a.data().data();
+  const double* bd = b.data().data();
+  double* out = node->data.data();
+  ForEachBroadcast(node->data.size(), b.numel(),
+                   [&](size_t i, size_t j) { out[i] = ad[i] + bd[j]; });
   if (node->requires_grad) {
     Impl ai = a.impl(), bi = b.impl();
     node->backward_fn = [ai, bi](TensorImpl& n) {
       obs::Span bwd_span("nn/Add.bwd");
       for (size_t i = 0; i < n.data.size(); ++i) ai->grad[i] += n.grad[i];
-      AccumulateBroadcastGrad(n, bi.get(), {});
+      AccumulateBroadcastGrad(n, bi.get());
     };
   }
   return Tensor(std::move(node));
@@ -104,18 +112,26 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   OpRequire(IsSuffix(a.shape(), b.shape()),
             "Mul: b must equal or suffix-broadcast a");
   auto node = MakeNode(a.shape(), {a.impl(), b.impl()});
-  const size_t bn = b.numel();
-  for (size_t i = 0; i < node->data.size(); ++i) {
-    node->data[i] = a.data()[i] * b.data()[i % bn];
-  }
+  const double* ad = a.data().data();
+  const double* bd = b.data().data();
+  double* out = node->data.data();
+  ForEachBroadcast(node->data.size(), b.numel(),
+                   [&](size_t i, size_t j) { out[i] = ad[i] * bd[j]; });
   if (node->requires_grad) {
     Impl ai = a.impl(), bi = b.impl();
-    node->backward_fn = [ai, bi, bn](TensorImpl& n) {
+    node->backward_fn = [ai, bi](TensorImpl& n) {
       obs::Span bwd_span("nn/Mul.bwd");
-      for (size_t i = 0; i < n.data.size(); ++i) {
-        ai->grad[i] += n.grad[i] * bi->data[i % bn];
-        bi->grad[i % bn] += n.grad[i] * ai->data[i];
-      }
+      // a and b may be one tensor (MseLoss squares with Mul(d, d)); element
+      // i then takes a's term, then b's.
+      const double* g = n.grad.data();
+      const double* a_data = ai->data.data();
+      const double* b_data = bi->data.data();
+      double* a_grad = ai->grad.data();
+      double* b_grad = bi->grad.data();
+      ForEachBroadcast(n.data.size(), bi->data.size(), [&](size_t i, size_t j) {
+        a_grad[i] += g[i] * b_data[j];
+        b_grad[j] += g[i] * a_data[i];
+      });
     };
   }
   return Tensor(std::move(node));
