@@ -56,12 +56,11 @@ GruCell::GruCell(int input_size, int hidden_size, Rng& rng)
 }
 
 Tensor GruCell::Forward(const Tensor& x, const Tensor& h) {
-  const Tensor z = Sigmoid(Add(Add(MatMul(x, wxz_), MatMul(h, whz_)), bz_));
-  const Tensor r = Sigmoid(Add(Add(MatMul(x, wxr_), MatMul(h, whr_)), br_));
-  const Tensor n = Tanh(Add(Add(MatMul(x, wxn_), MatMul(Mul(r, h), whn_)), bn_));
-  // h' = (1 - z) * n + z * h
-  const Tensor one_minus_z = AddScalar(Scale(z, -1.0), 1.0);
-  return Add(Mul(one_minus_z, n), Mul(z, h));
+  // x·wxz stays a node of its own: its backward then runs after every
+  // step's, in forward time order, which is where the op-by-op tape added
+  // wxz's gradient terms (DESIGN §17).
+  return GruStep(MatMul(x, wxz_), x, h,
+                 {whz_, bz_, wxr_, whr_, br_, wxn_, whn_, bn_});
 }
 
 std::vector<Tensor> GruCell::Parameters() {

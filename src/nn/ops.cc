@@ -249,6 +249,143 @@ Tensor Tanh(const Tensor& a) {
   return Tensor(std::move(node));
 }
 
+Tensor GruStep(const Tensor& xz, const Tensor& x, const Tensor& h,
+               const GruStepWeights& w) {
+  obs::Span span("nn/GruStep");
+  OpRequire(x.rank() == 2 && h.rank() == 2 && x.shape()[0] == h.shape()[0],
+            "GruStep: x must be [batch, in] and h [batch, hidden]");
+  OpRequire(xz.shape() == h.shape(), "GruStep: xz must be [batch, hidden]");
+  const int batch = h.shape()[0];
+  const int in = x.shape()[1];
+  const int hidden = h.shape()[1];
+  const std::vector<int> x_side = {in, hidden};
+  const std::vector<int> h_side = {hidden, hidden};
+  const std::vector<int> bias = {hidden};
+  OpRequire(w.wxr.shape() == x_side && w.wxn.shape() == x_side,
+            "GruStep: wxr and wxn must be [in, hidden]");
+  OpRequire(w.whz.shape() == h_side && w.whr.shape() == h_side &&
+                w.whn.shape() == h_side,
+            "GruStep: whz, whr and whn must be [hidden, hidden]");
+  OpRequire(w.bz.shape() == bias && w.br.shape() == bias && w.bn.shape() == bias,
+            "GruStep: bz, br and bn must be [hidden]");
+
+  // The products of x ([batch, in] · [in, hidden]) and of h or r*h
+  // ([batch, hidden] · [hidden, hidden]), shaped as MatMul shapes them.
+  kernels::MatMulShape xs;
+  xs.m = batch;
+  xs.n = hidden;
+  xs.k = in;
+  kernels::MatMulShape hs = xs;
+  hs.k = hidden;
+  const size_t bh = static_cast<size_t>(batch) * hidden;
+
+  // xz comes first among the parents: Backward()'s DFS then reaches every
+  // step's xz node before the previous step, and runs their backward in
+  // forward time order, as the op-by-op tape does.
+  auto node = MakeNode(h.shape(), {xz.impl(), x.impl(), h.impl(), w.whz.impl(),
+                                   w.bz.impl(), w.wxr.impl(), w.whr.impl(),
+                                   w.br.impl(), w.wxn.impl(), w.whn.impl(),
+                                   w.bn.impl()});
+  // z, r, n and r*h, kept for the backward.
+  auto saved = std::make_shared<std::vector<double>>(4 * bh);
+  double* z = saved->data();
+  double* r = z + bh;
+  double* n = r + bh;
+  double* rh = n + bh;
+  std::vector<double> products(2 * bh);
+  double* p0 = products.data();
+  double* p1 = p0 + bh;
+  const double* xd = x.data().data();
+  const double* hd = h.data().data();
+  const double* xzd = xz.data().data();
+  const kernels::Backend* backend = kernels::Default();
+
+  backend->MatMulFwd(hd, w.whz.data().data(), p0, hs);
+  const double* bz = w.bz.data().data();
+  ForEachBroadcast(bh, hidden, [&](size_t i, size_t j) {
+    z[i] = 1.0 / (1.0 + std::exp(-((xzd[i] + p0[i]) + bz[j])));
+  });
+  backend->MatMulFwd(xd, w.wxr.data().data(), p0, xs);
+  backend->MatMulFwd(hd, w.whr.data().data(), p1, hs);
+  const double* br = w.br.data().data();
+  ForEachBroadcast(bh, hidden, [&](size_t i, size_t j) {
+    r[i] = 1.0 / (1.0 + std::exp(-((p0[i] + p1[i]) + br[j])));
+    rh[i] = r[i] * hd[i];
+  });
+  backend->MatMulFwd(xd, w.wxn.data().data(), p0, xs);
+  backend->MatMulFwd(rh, w.whn.data().data(), p1, hs);
+  const double* bn = w.bn.data().data();
+  double* out = node->data.data();
+  ForEachBroadcast(bh, hidden, [&](size_t i, size_t j) {
+    n[i] = std::tanh((p0[i] + p1[i]) + bn[j]);
+    out[i] = (z[i] * -1.0 + 1.0) * n[i] + z[i] * hd[i];
+  });
+
+  if (node->requires_grad) {
+    Impl xzi = xz.impl(), xi = x.impl(), hi = h.impl();
+    node->backward_fn = [xzi, xi, hi, w, saved, xs, hs, bh,
+                         hidden](TensorImpl& self) {
+      obs::Span bwd_span("nn/GruStep.bwd");
+      const kernels::Backend* backend = kernels::Default();
+      const double* z = saved->data();
+      const double* r = z + bh;
+      const double* n = r + bh;
+      const double* rh = n + bh;
+      const double* g = self.grad.data();
+      const double* xd = xi->data.data();
+      const double* hd = hi->data.data();
+      double* xg = xi->grad.data();
+      double* hg = hi->grad.data();
+      // Gradients at the pre-activations of z (ga), r (gb) and n (gc), and
+      // at r*h (grh, accumulated from zero as the tape's buffer was).
+      std::vector<double> scratch(4 * bh, 0.0);
+      double* ga = scratch.data();
+      double* gb = ga + bh;
+      double* gc = gb + bh;
+      double* grh = gc + bh;
+      const auto bias_grad = [&](const double* from, const Tensor& b) {
+        double* to = b.impl()->grad.data();
+        ForEachBroadcast(bh, hidden, [&](size_t i, size_t j) { to[j] += from[i]; });
+      };
+      // The tape's node order for one step: h' = Add(D1, D2), D2 = Mul(z, h),
+      // D1 = Mul(1 - z, n), Tanh, Add(., bn), Add(C1, C2), C2 = (r*h)·whn,
+      // Mul(r, h), Sigmoid(r), Add(., br), Add(B1, B2), B2 = h·whr,
+      // B1 = x·wxr, C1 = x·wxn, AddScalar, Scale(z, -1), Sigmoid(z),
+      // Add(., bz), Add(A1, A2), A2 = h·whz. Each buffer below takes its
+      // terms in that order; z's two terms (from D2, then from Scale) and
+      // the elementwise chains are folded into single expressions.
+      for (size_t i = 0; i < bh; ++i) {
+        hg[i] += g[i] * z[i];
+        const double gz = g[i] * hd[i] + g[i] * n[i] * -1.0;
+        const double gn = g[i] * (z[i] * -1.0 + 1.0);
+        gc[i] = gn * (1.0 - n[i] * n[i]);
+        ga[i] = gz * z[i] * (1.0 - z[i]);
+      }
+      bias_grad(gc, w.bn);
+      backend->MatMulBwdA(gc, w.whn.data().data(), grh, hs);
+      backend->MatMulBwdB(gc, rh, w.whn.impl()->grad.data(), hs);
+      for (size_t i = 0; i < bh; ++i) {
+        const double gr = grh[i] * hd[i];
+        hg[i] += grh[i] * r[i];
+        gb[i] = gr * r[i] * (1.0 - r[i]);
+      }
+      bias_grad(gb, w.br);
+      backend->MatMulBwdA(gb, w.whr.data().data(), hg, hs);
+      backend->MatMulBwdB(gb, hd, w.whr.impl()->grad.data(), hs);
+      backend->MatMulBwdA(gb, w.wxr.data().data(), xg, xs);
+      backend->MatMulBwdB(gb, xd, w.wxr.impl()->grad.data(), xs);
+      backend->MatMulBwdA(gc, w.wxn.data().data(), xg, xs);
+      backend->MatMulBwdB(gc, xd, w.wxn.impl()->grad.data(), xs);
+      bias_grad(ga, w.bz);
+      double* xzg = xzi->grad.data();
+      for (size_t i = 0; i < bh; ++i) xzg[i] += ga[i];
+      backend->MatMulBwdA(ga, w.whz.data().data(), hg, hs);
+      backend->MatMulBwdB(ga, hd, w.whz.impl()->grad.data(), hs);
+    };
+  }
+  return Tensor(std::move(node));
+}
+
 Tensor Relu(const Tensor& a) {
   obs::Span span("nn/Relu");
   auto node = MakeNode(a.shape(), {a.impl()});

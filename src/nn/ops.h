@@ -38,6 +38,28 @@ Tensor Sigmoid(const Tensor& a);
 /// Elementwise tanh.
 Tensor Tanh(const Tensor& a);
 
+/// The GRU weights GruStep reads: every one but the update gate's input
+/// projection wxz. The w* are [in, hidden] (x side) or [hidden, hidden]
+/// (h side); the biases are [hidden].
+struct GruStepWeights {
+  Tensor whz, bz;       // update gate z
+  Tensor wxr, whr, br;  // reset gate r
+  Tensor wxn, whn, bn;  // candidate n
+};
+
+/// One GRU step as one tape node, given xz = MatMul(x, wxz):
+///   z  = Sigmoid(Add(Add(xz, MatMul(h, whz)), bz))
+///   r  = Sigmoid(Add(Add(MatMul(x, wxr), MatMul(h, whr)), br))
+///   n  = Tanh(Add(Add(MatMul(x, wxn), MatMul(Mul(r, h), whn)), bn))
+///   h' = Add(Mul(AddScalar(Scale(z, -1), 1), n), Mul(z, h))
+/// x is [batch, in]; h, xz and h' are [batch, hidden]. The forward issues
+/// the same five products through the kernel backend and rounds every
+/// element as that chain of ops does. The backward adds each gradient term
+/// in the order the op-by-op tape adds it, so the result and every gradient
+/// keep their bytes (DESIGN §17).
+Tensor GruStep(const Tensor& xz, const Tensor& x, const Tensor& h,
+               const GruStepWeights& w);
+
 /// Elementwise ReLU.
 Tensor Relu(const Tensor& a);
 
