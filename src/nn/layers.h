@@ -56,7 +56,8 @@ class RnnCell : public Module {
   Tensor wx_, wh_, b_;
 };
 
-/// Gated recurrent unit cell (Cho et al., 2014).
+/// Gated recurrent unit cell (Cho et al., 2014). Each step is two tape
+/// nodes: MatMul(x, wxz) and a GruStep (ops.h) for the rest.
 class GruCell : public Module {
  public:
   GruCell(int input_size, int hidden_size, Rng& rng);
