@@ -165,6 +165,7 @@ BENCHMARK(BM_MatMul)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
 // MatMul wall clock vs exec worker count; args are {matrix size, threads}.
 // The 1-thread rows are the serial baseline for the speedup trajectory.
 void BM_MatMulThreads(benchmark::State& state) {
+  const int entry_threads = exec::Threads();
   exec::SetThreads(static_cast<int>(state.range(1)));
   Rng rng(9);
   const int n = static_cast<int>(state.range(0));
@@ -174,7 +175,7 @@ void BM_MatMulThreads(benchmark::State& state) {
     auto c = nn::MatMul(a, b);
     benchmark::DoNotOptimize(c);
   }
-  exec::SetThreads(0);  // restore env/hardware default
+  exec::SetThreads(entry_threads);  // later rows keep --threads
 }
 BENCHMARK(BM_MatMulThreads)
     ->Args({256, 1})
@@ -185,6 +186,7 @@ BENCHMARK(BM_MatMulThreads)
 // End-to-end STPT publish (detail scale, shortened training) at 1 vs 4
 // exec threads — the headline wall-clock number for the pipeline.
 void BM_StptPublish(benchmark::State& state) {
+  const int entry_threads = exec::Threads();
   exec::SetThreads(static_cast<int>(state.range(0)));
   static const bench::Instance* inst = new bench::Instance(bench::MakeInstance(
       datagen::CerSpec(), datagen::SpatialDistribution::kUniform,
@@ -196,7 +198,7 @@ void BM_StptPublish(benchmark::State& state) {
     auto res = core::Stpt(cfg).Publish(inst->cons, inst->unit_sensitivity, rng);
     benchmark::DoNotOptimize(res);
   }
-  exec::SetThreads(0);
+  exec::SetThreads(entry_threads);
 }
 BENCHMARK(BM_StptPublish)
     ->Arg(1)
