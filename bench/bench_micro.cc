@@ -358,6 +358,30 @@ void BM_GruCellForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_GruCellForwardBackward)->Unit(benchmark::kMicrosecond);
 
+// One training step of the pattern model's recurrent core at its default
+// shape (batch 32, input = hidden = 32, 6 steps over SliceSeq of one leaf),
+// with a Linear head, MseLoss and Backward(), under the default backend:
+// the GRU forward and backward that STPT's pattern training runs per batch.
+void BM_GruTrainStep(benchmark::State& state) {
+  constexpr int kBatch = 32, kWidth = 32, kSteps = 6;
+  Rng rng(14);
+  nn::GruCell cell(kWidth, kWidth, rng);
+  nn::Linear head(kWidth, 1, rng);
+  nn::Tensor input = nn::Tensor::Randn({kBatch, kSteps, kWidth}, rng, 1.0, true);
+  const nn::Tensor target = nn::Tensor::Randn({kBatch, 1}, rng, 1.0);
+  for (auto _ : state) {
+    cell.ZeroGrad();
+    head.ZeroGrad();
+    input.ZeroGrad();
+    nn::Tensor h = nn::Tensor::Zeros({kBatch, kWidth});
+    for (int t = 0; t < kSteps; ++t) h = cell.Forward(nn::SliceSeq(input, t), h);
+    nn::Tensor loss = nn::MseLoss(head.Forward(h), target);
+    loss.Backward();
+    benchmark::DoNotOptimize(loss);
+  }
+}
+BENCHMARK(BM_GruTrainStep)->Unit(benchmark::kMicrosecond);
+
 void BM_SelfAttention(benchmark::State& state) {
   Rng rng(11);
   nn::SelfAttention attn(16, rng);

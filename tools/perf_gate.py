@@ -7,11 +7,14 @@ enforces two properties:
   1. No gated row regresses more than --tolerance (default 30%) in
      real_time against the same-named row of the baseline. The gated rows
      are the per-backend kernels (BM_Kernel*), the .stpt codec
-     (BM_SnapshotEncode, BM_SnapshotDecode, BM_Crc32) and the one-pass
-     min/max scan each publish runs (BM_MatrixExtrema). Hard failure on an
-     AVX2-capable runner; downgraded to a warning when the runner lacks AVX2
-     (the committed baseline is recorded on an AVX2 machine, so absolute
-     times are not comparable there).
+     (BM_SnapshotEncode, BM_SnapshotDecode, BM_Crc32), the one-pass
+     min/max scan each publish runs (BM_MatrixExtrema) and one training
+     step of the pattern model's GRU core under the default backend
+     (BM_GruTrainStep: batch 32, input = hidden = 32, 6 steps, Linear
+     head, MseLoss, Backward). Hard failure on an AVX2-capable runner;
+     downgraded to a warning when the runner lacks AVX2 (the committed
+     baseline is recorded on an AVX2 machine, so absolute times are not
+     comparable there).
   2. Within the fresh run, the avx2 backend is at least --min-speedup
      (default 1.5x) faster than naive on every row of the MatMul and
      PrefixSum kernel families. Skipped when the runner lacks AVX2. The
@@ -38,7 +41,7 @@ import json
 import sys
 
 GATED_PREFIXES = ("BM_Kernel", "BM_SnapshotEncode", "BM_SnapshotDecode",
-                  "BM_Crc32", "BM_MatrixExtrema")
+                  "BM_Crc32", "BM_MatrixExtrema", "BM_GruTrainStep")
 SPEEDUP_FAMILIES = ("BM_KernelMatMul", "BM_KernelMatMulNN",
                     "BM_KernelMatMulNNBwd", "BM_KernelPrefixSum")
 
