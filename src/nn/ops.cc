@@ -56,11 +56,11 @@ void ForEachBroadcast(size_t n, size_t bn, F&& f) {
   }
 }
 
-void AccumulateBroadcastGrad(TensorImpl& node, TensorImpl* parent) {
-  // node.grad has node size; parent may be a suffix-broadcast operand.
-  const double* g = node.grad.data();
+/// Adds the n-element gradient g into parent's gradient; parent may be a
+/// suffix-broadcast operand, whose elements then sum their rows in order.
+void AccumulateBroadcastGrad(const double* g, size_t n, TensorImpl* parent) {
   double* pg = parent->grad.data();
-  ForEachBroadcast(node.data.size(), parent->data.size(),
+  ForEachBroadcast(n, parent->data.size(),
                    [&](size_t i, size_t j) { pg[j] += g[i]; });
 }
 
@@ -81,7 +81,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
     node->backward_fn = [ai, bi](TensorImpl& n) {
       obs::Span bwd_span("nn/Add.bwd");
       for (size_t i = 0; i < n.data.size(); ++i) ai->grad[i] += n.grad[i];
-      AccumulateBroadcastGrad(n, bi.get());
+      AccumulateBroadcastGrad(n.grad.data(), n.data.size(), bi.get());
     };
   }
   return Tensor(std::move(node));
@@ -323,8 +323,7 @@ Tensor GruStep(const Tensor& xz, const Tensor& x, const Tensor& h,
 
   if (node->requires_grad) {
     Impl xzi = xz.impl(), xi = x.impl(), hi = h.impl();
-    node->backward_fn = [xzi, xi, hi, w, saved, xs, hs, bh,
-                         hidden](TensorImpl& self) {
+    node->backward_fn = [xzi, xi, hi, w, saved, xs, hs, bh](TensorImpl& self) {
       obs::Span bwd_span("nn/GruStep.bwd");
       const kernels::Backend* backend = kernels::Default();
       const double* z = saved->data();
@@ -343,10 +342,6 @@ Tensor GruStep(const Tensor& xz, const Tensor& x, const Tensor& h,
       double* gb = ga + bh;
       double* gc = gb + bh;
       double* grh = gc + bh;
-      const auto bias_grad = [&](const double* from, const Tensor& b) {
-        double* to = b.impl()->grad.data();
-        ForEachBroadcast(bh, hidden, [&](size_t i, size_t j) { to[j] += from[i]; });
-      };
       // The tape's node order for one step: h' = Add(D1, D2), D2 = Mul(z, h),
       // D1 = Mul(1 - z, n), Tanh, Add(., bn), Add(C1, C2), C2 = (r*h)·whn,
       // Mul(r, h), Sigmoid(r), Add(., br), Add(B1, B2), B2 = h·whr,
@@ -361,7 +356,7 @@ Tensor GruStep(const Tensor& xz, const Tensor& x, const Tensor& h,
         gc[i] = gn * (1.0 - n[i] * n[i]);
         ga[i] = gz * z[i] * (1.0 - z[i]);
       }
-      bias_grad(gc, w.bn);
+      AccumulateBroadcastGrad(gc, bh, w.bn.impl().get());
       backend->MatMulBwdA(gc, w.whn.data().data(), grh, hs);
       backend->MatMulBwdB(gc, rh, w.whn.impl()->grad.data(), hs);
       for (size_t i = 0; i < bh; ++i) {
@@ -369,16 +364,15 @@ Tensor GruStep(const Tensor& xz, const Tensor& x, const Tensor& h,
         hg[i] += grh[i] * r[i];
         gb[i] = gr * r[i] * (1.0 - r[i]);
       }
-      bias_grad(gb, w.br);
+      AccumulateBroadcastGrad(gb, bh, w.br.impl().get());
       backend->MatMulBwdA(gb, w.whr.data().data(), hg, hs);
       backend->MatMulBwdB(gb, hd, w.whr.impl()->grad.data(), hs);
       backend->MatMulBwdA(gb, w.wxr.data().data(), xg, xs);
       backend->MatMulBwdB(gb, xd, w.wxr.impl()->grad.data(), xs);
       backend->MatMulBwdA(gc, w.wxn.data().data(), xg, xs);
       backend->MatMulBwdB(gc, xd, w.wxn.impl()->grad.data(), xs);
-      bias_grad(ga, w.bz);
-      double* xzg = xzi->grad.data();
-      for (size_t i = 0; i < bh; ++i) xzg[i] += ga[i];
+      AccumulateBroadcastGrad(ga, bh, w.bz.impl().get());
+      AccumulateBroadcastGrad(ga, bh, xzi.get());
       backend->MatMulBwdA(ga, w.whz.data().data(), hg, hs);
       backend->MatMulBwdB(ga, hd, w.whz.impl()->grad.data(), hs);
     };
