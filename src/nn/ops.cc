@@ -336,19 +336,20 @@ Tensor GruStep(const Tensor& xz, const Tensor& x, const Tensor& h,
       double* xg = xi->grad.data();
       double* hg = hi->grad.data();
       // Gradients at the pre-activations of z (ga), r (gb) and n (gc), and
-      // at r*h (grh, accumulated from zero as the tape's buffer was).
+      // at r*h (grh, which MatMulBwdA adds into, so it starts at zero).
       std::vector<double> scratch(4 * bh, 0.0);
       double* ga = scratch.data();
       double* gb = ga + bh;
       double* gc = gb + bh;
       double* grh = gc + bh;
-      // The tape's node order for one step: h' = Add(D1, D2), D2 = Mul(z, h),
-      // D1 = Mul(1 - z, n), Tanh, Add(., bn), Add(C1, C2), C2 = (r*h)·whn,
-      // Mul(r, h), Sigmoid(r), Add(., br), Add(B1, B2), B2 = h·whr,
-      // B1 = x·wxr, C1 = x·wxn, AddScalar, Scale(z, -1), Sigmoid(z),
-      // Add(., bz), Add(A1, A2), A2 = h·whz. Each buffer below takes its
-      // terms in that order; z's two terms (from D2, then from Scale) and
-      // the elementwise chains are folded into single expressions.
+      // The op-by-op chain's node order for one step, as Backward() runs
+      // it: h' = Add(D1, D2), D2 = Mul(z, h), D1 = Mul(1 - z, n), Tanh,
+      // Add(., bn), Add(C1, C2), C2 = (r*h)·whn, Mul(r, h), Sigmoid(r),
+      // Add(., br), Add(B1, B2), B2 = h·whr, B1 = x·wxr, C1 = x·wxn,
+      // AddScalar, Scale(z, -1), Sigmoid(z), Add(., bz), Add(A1, A2),
+      // A2 = h·whz. Each buffer below takes its terms in that order; z's
+      // two terms (from D2, then from Scale) and the elementwise chains are
+      // folded into single expressions.
       for (size_t i = 0; i < bh; ++i) {
         hg[i] += g[i] * z[i];
         const double gz = g[i] * hd[i] + g[i] * n[i] * -1.0;

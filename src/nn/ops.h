@@ -55,8 +55,8 @@ struct GruStepWeights {
 /// x is [batch, in]; h, xz and h' are [batch, hidden]. The forward issues
 /// the same five products through the kernel backend and rounds every
 /// element as that chain of ops does. The backward adds each gradient term
-/// in the order the op-by-op tape adds it, so the result and every gradient
-/// keep their bytes (DESIGN §17).
+/// in the order Backward() adds it through the chain, so the result and
+/// every gradient equal the chain's bit for bit (DESIGN §17).
 Tensor GruStep(const Tensor& xz, const Tensor& x, const Tensor& h,
                const GruStepWeights& w);
 

@@ -136,8 +136,8 @@ TEST(GruCellTest, MultiStepGradients) {
 }
 
 // The GRU step as a chain of primitive ops, over GruCell's parameters in
-// Parameters() order. This is the formula GruCell computed before its step
-// became one tape node, kept as the oracle that node must match bit for bit.
+// Parameters() order: the oracle GruCell's one-node step must match bit for
+// bit.
 Tensor OpByOpGruStep(const std::vector<Tensor>& p, const Tensor& x,
                      const Tensor& h) {
   const Tensor &wxz = p[0], &whz = p[1], &bz = p[2];
