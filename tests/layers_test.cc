@@ -166,7 +166,9 @@ struct GruRun {
 // [b, s, in] leaf, through a Linear head, MseLoss and Backward(): the
 // output and every gradient must have equal bytes. Finite differences
 // cannot see a change in the order in which the tape sums a gradient;
-// this can. Runs under every registered backend.
+// this can. Runs under every registered backend, and once more with the
+// head's weight zeroed: every GRU gradient is then zero, and the step's
+// backward meets zeros of both signs.
 TEST(GruCellTest, MatchesOpByOpOracleBitForBit) {
   struct Shape {
     int batch, in, hidden;
@@ -178,48 +180,55 @@ TEST(GruCellTest, MatchesOpByOpOracleBitForBit) {
     kernels::SetDefault(*backend);
     for (const Shape shape : {Shape{3, 5, 7}, Shape{32, 32, 32}}) {
       for (const int steps : {1, 2, 6}) {
-        SCOPED_TRACE(name + " b=" + std::to_string(shape.batch) +
-                     " in=" + std::to_string(shape.in) +
-                     " hidden=" + std::to_string(shape.hidden) +
-                     " s=" + std::to_string(steps));
-        Rng rng(100 + steps);
-        GruCell cell(shape.in, shape.hidden, rng);
-        Linear head(shape.hidden, 1, rng);
-        std::vector<Tensor> params = cell.Parameters();
-        // Nonzero biases, so that every broadcast term carries bits.
-        for (Tensor& p : params) {
-          for (double& v : p.data()) v = rng.Gaussian(0.0, 0.5);
-        }
-        const Tensor input =
-            Tensor::Randn({shape.batch, steps, shape.in}, rng, 1.0, true);
-        const Tensor h0 = Tensor::Randn({shape.batch, shape.hidden}, rng, 1.0, true);
-        const Tensor target = Tensor::Randn({shape.batch, 1}, rng, 1.0);
-        std::vector<Tensor> leaves = params;
-        for (const Tensor& p : head.Parameters()) leaves.push_back(p);
-        leaves.push_back(input);
-        leaves.push_back(h0);
-
-        const auto run = [&](bool oracle) {
-          for (Tensor& t : leaves) t.ZeroGrad();
-          Tensor h = h0;
-          for (int t = 0; t < steps; ++t) {
-            const Tensor xt = SliceSeq(input, t);
-            h = oracle ? OpByOpGruStep(params, xt, h) : cell.Forward(xt, h);
+        for (const bool zero_head : {false, true}) {
+          SCOPED_TRACE(name + " b=" + std::to_string(shape.batch) +
+                       " in=" + std::to_string(shape.in) +
+                       " hidden=" + std::to_string(shape.hidden) +
+                       " s=" + std::to_string(steps) +
+                       " zero_head=" + std::to_string(zero_head));
+          Rng rng(100 + steps);
+          GruCell cell(shape.in, shape.hidden, rng);
+          Linear head(shape.hidden, 1, rng);
+          std::vector<Tensor> params = cell.Parameters();
+          // Nonzero biases, so that every broadcast term carries bits.
+          for (Tensor& p : params) {
+            for (double& v : p.data()) v = rng.Gaussian(0.0, 0.5);
           }
-          Tensor loss = MseLoss(head.Forward(h), target);
-          loss.Backward();
-          GruRun out;
-          out.output = Bits(h.data());
-          out.output.push_back(Bits(loss.data())[0]);
-          for (const Tensor& t : leaves) out.grads.push_back(Bits(t.grad()));
-          return out;
-        };
-        const GruRun want = run(/*oracle=*/true);
-        const GruRun got = run(/*oracle=*/false);
-        EXPECT_EQ(want.output, got.output);
-        ASSERT_EQ(want.grads.size(), got.grads.size());
-        for (size_t i = 0; i < want.grads.size(); ++i) {
-          EXPECT_EQ(want.grads[i], got.grads[i]) << "leaf " << i;
+          if (zero_head) {
+            for (double& v : head.Parameters()[0].data()) v = 0.0;
+          }
+          const Tensor input =
+              Tensor::Randn({shape.batch, steps, shape.in}, rng, 1.0, true);
+          const Tensor h0 =
+              Tensor::Randn({shape.batch, shape.hidden}, rng, 1.0, true);
+          const Tensor target = Tensor::Randn({shape.batch, 1}, rng, 1.0);
+          std::vector<Tensor> leaves = params;
+          for (const Tensor& p : head.Parameters()) leaves.push_back(p);
+          leaves.push_back(input);
+          leaves.push_back(h0);
+
+          const auto run = [&](bool oracle) {
+            for (Tensor& t : leaves) t.ZeroGrad();
+            Tensor h = h0;
+            for (int t = 0; t < steps; ++t) {
+              const Tensor xt = SliceSeq(input, t);
+              h = oracle ? OpByOpGruStep(params, xt, h) : cell.Forward(xt, h);
+            }
+            Tensor loss = MseLoss(head.Forward(h), target);
+            loss.Backward();
+            GruRun out;
+            out.output = Bits(h.data());
+            out.output.push_back(Bits(loss.data())[0]);
+            for (const Tensor& t : leaves) out.grads.push_back(Bits(t.grad()));
+            return out;
+          };
+          const GruRun want = run(/*oracle=*/true);
+          const GruRun got = run(/*oracle=*/false);
+          EXPECT_EQ(want.output, got.output);
+          ASSERT_EQ(want.grads.size(), got.grads.size());
+          for (size_t i = 0; i < want.grads.size(); ++i) {
+            EXPECT_EQ(want.grads[i], got.grads[i]) << "leaf " << i;
+          }
         }
       }
     }
