@@ -677,6 +677,88 @@ TEST(IngestPipelineTest, RingAcceptsLogicalTimeBeyondCt) {
   EXPECT_EQ((*pipeline)->Apply(batch).accepted, 2u);
 }
 
+std::string BytesOf(const std::vector<double>& values) {
+  return {reinterpret_cast<const char*>(values.data()),
+          values.size() * sizeof(double)};
+}
+
+TEST(IngestPipelineTest, ContainersAndAnswersArePinned) {
+  // Every byte a shard publishes, pinned: each epoch's container file, the
+  // ledger, and the served answers to a fixed query set after each epoch.
+  // 30 slices through a 12-slot ring is 2.5 laps, so epochs whose first
+  // slice sits in slot 0 rescan the whole prefix table. Changes to the
+  // publish path (release handling, prefix flush, extrema) must keep all
+  // three hashes.
+  const std::string dir = testing::TempDir() + "/ingest_pinned";
+  ::mkdir(dir.c_str(), 0755);
+  const std::string ledger_path = dir + "/ledger.jsonl";
+  auto registry = serve::SnapshotRegistry::Create();
+  ASSERT_TRUE(registry.ok());
+  ingest::ManualClock clock;
+  ingest::IngestOptions options;
+  options.dims = {6, 5, 12};
+  options.epoch_readings = 64;
+  options.snapshot_dir = dir;
+  options.ledger_path = ledger_path;
+  options.seed = 23;
+  options.accountant_epsilon = 100.0;  // 30 slices > one ct horizon
+  auto pipeline =
+      ingest::IngestPipeline::Create(registry->get(), &clock, options);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+
+  query::Workload queries;
+  Rng qrng(4);
+  for (int i = 0; i < 32; ++i) {
+    query::RangeQuery q;
+    q.x0 = static_cast<int>(qrng.UniformInt(0, options.dims.cx - 1));
+    q.x1 = static_cast<int>(qrng.UniformInt(q.x0, options.dims.cx - 1));
+    q.y0 = static_cast<int>(qrng.UniformInt(0, options.dims.cy - 1));
+    q.y1 = static_cast<int>(qrng.UniformInt(q.y0, options.dims.cy - 1));
+    q.t0 = static_cast<int>(qrng.UniformInt(0, options.dims.ct - 1));
+    q.t1 = static_cast<int>(qrng.UniformInt(q.t0, options.dims.ct - 1));
+    queries.push_back(q);
+  }
+
+  uint64_t epoch = 0;
+  std::string answers;
+  const auto apply = [&](const serve::ReadingBatch& batch) {
+    const serve::ReadingAck ack = (*pipeline)->Apply(batch);
+    EXPECT_EQ(ack.rejected, 0u);
+    if (ack.epoch == epoch) return;
+    EXPECT_EQ(ack.epoch, epoch + 1);
+    epoch = ack.epoch;
+    auto gen = (*registry)->Route(serve::kDefaultTenant, serve::kDefaultTile);
+    ASSERT_TRUE(gen.ok());
+    auto served = (*gen)->engine->AnswerBatch(queries);
+    ASSERT_TRUE(served.ok());
+    answers += BytesOf(*served);
+  };
+  for (int t = 0; t < 30; ++t) {
+    serve::ReadingBatch batch;
+    batch.readings =
+        SliceReadings(options.dims, t, 40, 900 + static_cast<uint64_t>(t));
+    apply(batch);
+  }
+  apply(serve::ReadingBatch{});
+  pipeline->reset();  // closes the ledger sink
+
+  std::string containers;
+  for (uint64_t seq = 1; seq <= epoch; ++seq) {
+    const std::vector<uint8_t> bytes = ReadFileBytes(
+        dir + "/default.0.p" + std::to_string(seq) + ".stpt");
+    ASSERT_FALSE(bytes.empty()) << "container " << seq;
+    containers.append(bytes.begin(), bytes.end());
+  }
+  const std::vector<uint8_t> ledger = ReadFileBytes(ledger_path);
+  ASSERT_FALSE(ledger.empty());
+
+  EXPECT_EQ(epoch, 16u);
+  EXPECT_EQ(fuzz::Fnv1a(containers), 0x537b9d98a47c73c8ull);
+  EXPECT_EQ(fuzz::Fnv1a(std::string(ledger.begin(), ledger.end())),
+            0x2cf1a1119a9fbad0ull);
+  EXPECT_EQ(fuzz::Fnv1a(answers), 0x2ac31d407e122d33ull);
+}
+
 // ----------------------------- wal / recovery -----------------------------
 
 void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
