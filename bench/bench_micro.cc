@@ -27,6 +27,7 @@
 #include "exec/thread_pool.h"
 #include "grid/consumption_matrix.h"
 #include "grid/quadtree.h"
+#include "ingest/incremental_prefix.h"
 #include "kernels/backend.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
@@ -140,6 +141,36 @@ void BM_MatrixExtrema(benchmark::State& state) {
                           static_cast<int64_t>(m.size() * sizeof(double)));
 }
 BENCHMARK(BM_MatrixExtrema)->Unit(benchmark::kMicrosecond);
+
+// One lap of the live shard's epoch flush at the ingest publish shape: 168
+// epochs, each writing one released slice into the ring and rescanning the
+// prefix table's dirty suffix (84.5 timesteps on average). It runs at one
+// exec thread, as the server's exec workers run every flush.
+void BM_IncrementalPrefixFlush(benchmark::State& state) {
+  const int entry_threads = exec::Threads();
+  exec::SetThreads(1);
+  const grid::Dims dims{32, 32, 168};
+  const grid::ConsumptionMatrix release = RandomMatrix(dims, 17);
+  std::vector<std::vector<double>> slices(static_cast<size_t>(dims.ct));
+  for (int t = 0; t < dims.ct; ++t) {
+    for (int x = 0; x < dims.cx; ++x) {
+      for (int y = 0; y < dims.cy; ++y) slices[t].push_back(release.at(x, y, t));
+    }
+  }
+  auto prefix = ingest::IncrementalPrefix::Create(dims);
+  int64_t logical = 0;
+  for (auto _ : state) {
+    for (const std::vector<double>& slice : slices) {
+      (void)prefix->SetSliceLogical(logical++, slice);
+      prefix->Flush();
+    }
+    benchmark::DoNotOptimize(prefix->prefix().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * dims.ct);
+  exec::SetThreads(entry_threads);  // later rows keep --threads
+}
+BENCHMARK(BM_IncrementalPrefixFlush)->Unit(benchmark::kMicrosecond);
 
 void BM_QuadtreeBuild(benchmark::State& state) {
   const auto m = RandomMatrix({32, 32, 220}, 8);

@@ -489,36 +489,42 @@ Status IngestPipeline::PublishLocked(Shard& shard, int64_t through) {
   }
   shard.next_slice = through + 1;
 
-  // Incremental prefix maintenance on the exec pool: only the republished
-  // t-suffix is rescanned (bit-identical to a from-scratch build).
+  // Incremental prefix maintenance: only the republished t-suffix is
+  // rescanned (bit-identical to a from-scratch build).
   flush_timesteps_ctr_->Increment(
       static_cast<uint64_t>(shard.sanitized->Flush()));
 
-  serve::Snapshot snapshot;
-  snapshot.meta.algorithm = "stream-w-event";
-  snapshot.meta.eps_total = shard.accountant->ConsumedEpsilon();
-  snapshot.meta.eps_sanitize = snapshot.meta.eps_total;
-  snapshot.sanitized = shard.sanitized->matrix();
-  snapshot.prefix = shard.sanitized->prefix();
-  const grid::ConsumptionMatrix::Extrema extrema = snapshot.sanitized.MinMax();
-  snapshot.meta.norm_min = extrema.min;
-  snapshot.meta.norm_max = extrema.max;
+  serve::SnapshotMeta meta;
+  meta.algorithm = "stream-w-event";
+  meta.eps_total = shard.accountant->ConsumedEpsilon();
+  meta.eps_sanitize = meta.eps_total;
+  const grid::ConsumptionMatrix::Extrema extrema = shard.sanitized->MinMax();
+  meta.norm_min = extrema.min;
+  meta.norm_max = extrema.max;
 
+  // The container streams from the shard's own release, under the shard
+  // lock and before the swap, so a failed write fails the publish with the
+  // served generation unchanged.
   ++shard.publish_seq;
   if (!options_.snapshot_dir.empty()) {
     STPT_RETURN_IF_ERROR(serve::WriteSnapshot(
-        snapshot, ShardSnapshotPath(options_.snapshot_dir, shard.tenant,
-                                    shard.tile, shard.publish_seq)));
+        meta, shard.sanitized->matrix(),
+        ShardSnapshotPath(options_.snapshot_dir, shard.tenant, shard.tile,
+                          shard.publish_seq)));
   }
 
-  // Zero-downtime flip: Load on the first publication of a shard the
-  // registry has never seen, Swap (RCU hot swap) afterwards — including
+  // The served generation keeps a copy of the prefix table and none of the
+  // release. Zero-downtime flip: Load on the first publication of a shard
+  // the registry has never seen, Swap (RCU hot swap) afterwards — including
   // over a generation someone else loaded (e.g. the server's startup
   // snapshot for the default shard).
+  auto prefix = grid::PrefixSum3D::FromRaw(dims, shard.sanitized->prefix());
+  if (!prefix.ok()) return prefix.status();
   const serve::ShardKey key{shard.tenant, shard.tile};
-  StatusOr<uint64_t> epoch = registry_->Route(shard.tenant, shard.tile).ok()
-                                 ? registry_->Swap(key, std::move(snapshot))
-                                 : registry_->Load(key, std::move(snapshot));
+  StatusOr<uint64_t> epoch =
+      registry_->Route(shard.tenant, shard.tile).ok()
+          ? registry_->Swap(key, std::move(meta), std::move(*prefix))
+          : registry_->Load(key, std::move(meta), std::move(*prefix));
   if (!epoch.ok()) return epoch.status();
   shard.epoch = *epoch;
   epochs_ctr_->Increment();

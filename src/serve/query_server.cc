@@ -26,8 +26,8 @@ std::string ServerStats::ToJson() const {
 
 class QueryServer::Impl {
  public:
-  Impl(Snapshot snapshot, grid::PrefixSum3D prefix)
-      : meta_(std::move(snapshot.meta)), prefix_(std::move(prefix)) {
+  Impl(SnapshotMeta meta, grid::PrefixSum3D prefix)
+      : meta_(std::move(meta)), prefix_(std::move(prefix)) {
     queries_ = registry_.GetCounter("stpt_serve_queries_total",
                                     "Queries answered successfully");
     invalid_ = registry_.GetCounter("stpt_serve_invalid_total",
@@ -144,7 +144,11 @@ StatusOr<QueryServer> QueryServer::Create(Snapshot snapshot) {
   auto prefix =
       grid::PrefixSum3D::FromRaw(snapshot.sanitized.dims(), std::move(snapshot.prefix));
   if (!prefix.ok()) return prefix.status();
-  return QueryServer(std::make_unique<Impl>(std::move(snapshot), std::move(*prefix)));
+  return Create(std::move(snapshot.meta), std::move(*prefix));
+}
+
+QueryServer QueryServer::Create(SnapshotMeta meta, grid::PrefixSum3D prefix) {
+  return QueryServer(std::make_unique<Impl>(std::move(meta), std::move(prefix)));
 }
 
 const grid::Dims& QueryServer::dims() const { return impl_->dims(); }

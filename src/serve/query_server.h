@@ -45,8 +45,14 @@ class QueryServer {
   /// Loads a snapshot container from disk and builds the engine.
   static StatusOr<QueryServer> Open(const std::string& snapshot_path);
 
-  /// Builds the engine from an in-memory snapshot (no file round-trip).
+  /// Builds the engine from an in-memory snapshot (no file round-trip):
+  /// Create(meta, prefix table). Fails when the table does not match the
+  /// release's dims.
   static StatusOr<QueryServer> Create(Snapshot snapshot);
+
+  /// Builds the engine from what it keeps of a release: its meta and its
+  /// prefix table. The release matrix itself is never needed to answer.
+  static QueryServer Create(SnapshotMeta meta, grid::PrefixSum3D prefix);
 
   QueryServer(QueryServer&&) noexcept;
   QueryServer& operator=(QueryServer&&) noexcept;

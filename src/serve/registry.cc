@@ -46,10 +46,10 @@ Status ValidateKey(const ShardKey& key) {
   return ValidateName("tile", key.tile);
 }
 
-StatusOr<std::shared_ptr<QueryServer>> BuildEngine(Snapshot snapshot) {
-  auto engine = QueryServer::Create(std::move(snapshot));
-  if (!engine.ok()) return engine.status();
-  return std::make_shared<QueryServer>(std::move(*engine));
+/// The prefix table a snapshot carries, adopted without a rescan.
+StatusOr<grid::PrefixSum3D> PrefixOf(Snapshot& snapshot) {
+  return grid::PrefixSum3D::FromRaw(snapshot.sanitized.dims(),
+                                    std::move(snapshot.prefix));
 }
 
 /// Stage of the registry's load or swap span under the caller's span: it
@@ -88,6 +88,13 @@ StatusOr<std::unique_ptr<SnapshotRegistry>> SnapshotRegistry::Create(
 }
 
 StatusOr<uint64_t> SnapshotRegistry::Load(const ShardKey& key, Snapshot snapshot) {
+  auto prefix = PrefixOf(snapshot);
+  if (!prefix.ok()) return prefix.status();
+  return Load(key, std::move(snapshot.meta), std::move(*prefix));
+}
+
+StatusOr<uint64_t> SnapshotRegistry::Load(const ShardKey& key, SnapshotMeta meta,
+                                          grid::PrefixSum3D prefix) {
   STPT_RETURN_IF_ERROR(ValidateKey(key));
   std::lock_guard<std::mutex> admin(admin_mu_);
   obs::Span span("registry/load", kStageAdmin, "registry");
@@ -103,12 +110,11 @@ StatusOr<uint64_t> SnapshotRegistry::Load(const ShardKey& key, Snapshot snapshot
           ") reached");
     }
   }
-  auto engine = BuildEngine(std::move(snapshot));
-  if (!engine.ok()) return engine.status();
   auto gen = std::make_shared<ShardGeneration>();
   gen->key = key;
   gen->epoch = 1;
-  gen->engine = std::move(*engine);
+  gen->engine = std::make_shared<QueryServer>(
+      QueryServer::Create(std::move(meta), std::move(prefix)));
   gen->engine->SetShardIdentity(key.tenant, key.tile, gen->epoch);
   {
     std::unique_lock<std::shared_mutex> lock(map_mu_);
@@ -130,6 +136,13 @@ StatusOr<uint64_t> SnapshotRegistry::LoadFile(const ShardKey& key,
 }
 
 StatusOr<uint64_t> SnapshotRegistry::Swap(const ShardKey& key, Snapshot snapshot) {
+  auto prefix = PrefixOf(snapshot);
+  if (!prefix.ok()) return prefix.status();
+  return Swap(key, std::move(snapshot.meta), std::move(*prefix));
+}
+
+StatusOr<uint64_t> SnapshotRegistry::Swap(const ShardKey& key, SnapshotMeta meta,
+                                          grid::PrefixSum3D prefix) {
   STPT_RETURN_IF_ERROR(ValidateKey(key));
   std::lock_guard<std::mutex> admin(admin_mu_);
   // The generation the flip replaces. Declared before the span, so that
@@ -149,12 +162,11 @@ StatusOr<uint64_t> SnapshotRegistry::Swap(const ShardKey& key, Snapshot snapshot
   }
   // Build the replacement engine with no data-plane lock held; queries keep
   // flowing against the old generation the whole time.
-  auto engine = BuildEngine(std::move(snapshot));
-  if (!engine.ok()) return engine.status();
   auto gen = std::make_shared<ShardGeneration>();
   gen->key = key;
   gen->epoch = epoch;
-  gen->engine = std::move(*engine);
+  gen->engine = std::make_shared<QueryServer>(
+      QueryServer::Create(std::move(meta), std::move(prefix)));
   gen->engine->SetShardIdentity(key.tenant, key.tile, epoch);
   // The RCU flip: one pointer exchange publishes the new generation. Batches
   // that already captured the old one finish on it; its engine is destroyed,

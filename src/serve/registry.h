@@ -104,17 +104,26 @@ class SnapshotRegistry {
   SnapshotRegistry(const SnapshotRegistry&) = delete;
   SnapshotRegistry& operator=(const SnapshotRegistry&) = delete;
 
-  /// Publishes `snapshot` as epoch 1 of a new shard. Fails with
-  /// FailedPrecondition if the key is already loaded (use Swap), with
-  /// InvalidArgument for empty/oversized names, and with ResourceExhausted
-  /// at max_shards. Returns the epoch (always 1).
+  /// Publishes a release, given as its meta and prefix table, as epoch 1
+  /// of a new shard. Fails with FailedPrecondition if the key is already
+  /// loaded (use Swap), with InvalidArgument for empty/oversized names, and
+  /// with ResourceExhausted at max_shards. Returns the epoch (always 1).
+  StatusOr<uint64_t> Load(const ShardKey& key, SnapshotMeta meta,
+                          grid::PrefixSum3D prefix);
+  /// Load of `snapshot`'s meta and prefix table; InvalidArgument when the
+  /// table does not match the release's dims.
   StatusOr<uint64_t> Load(const ShardKey& key, Snapshot snapshot);
   StatusOr<uint64_t> LoadFile(const ShardKey& key, const std::string& path);
 
-  /// Hot-swaps the current generation of an existing shard for `snapshot`,
-  /// returning the new epoch (previous + 1). The flip itself is one
-  /// pointer exchange; concurrent queries are never dropped. Fails with
-  /// NotFound if the shard is not loaded (use Load).
+  /// Hot-swaps the current generation of an existing shard for a release
+  /// given as its meta and prefix table, returning the new epoch
+  /// (previous + 1). The flip itself is one pointer exchange; concurrent
+  /// queries are never dropped. Fails with NotFound if the shard is not
+  /// loaded (use Load).
+  StatusOr<uint64_t> Swap(const ShardKey& key, SnapshotMeta meta,
+                          grid::PrefixSum3D prefix);
+  /// Swap to `snapshot`'s meta and prefix table; InvalidArgument when the
+  /// table does not match the release's dims.
   StatusOr<uint64_t> Swap(const ShardKey& key, Snapshot snapshot);
   StatusOr<uint64_t> SwapFile(const ShardKey& key, const std::string& path);
 

@@ -250,10 +250,10 @@ uint32_t Crc32Update(uint32_t crc, const uint8_t* p, size_t n) {
 /// little-endian hosts the release section is the matrix's own storage, so
 /// nothing is staged; big-endian hosts, whose in-memory doubles are not the
 /// container bytes, encode a copy. A Container must not outlive the
-/// snapshot it was built from.
+/// matrix it was built from.
 class Container {
  public:
-  explicit Container(const Snapshot& snapshot);
+  Container(const SnapshotMeta& meta, const grid::ConsumptionMatrix& sanitized);
   Container(const Container&) = delete;
   Container& operator=(const Container&) = delete;
 
@@ -269,10 +269,10 @@ class Container {
   std::array<uint8_t, 4> trailer_{};
 };
 
-Container::Container(const Snapshot& snapshot) {
-  const grid::Dims& dims = snapshot.sanitized.dims();
-  const std::string& algo = snapshot.meta.algorithm;
-  const std::vector<double>& cells = snapshot.sanitized.data();
+Container::Container(const SnapshotMeta& meta, const grid::ConsumptionMatrix& sanitized) {
+  const grid::Dims& dims = sanitized.dims();
+  const std::string& algo = meta.algorithm;
+  const std::vector<double>& cells = sanitized.data();
   header_.resize(kHeaderFixedBytes + algo.size());
   Writer w(header_.data());
   w.Bytes(kMagic.data(), kMagic.size());
@@ -282,12 +282,12 @@ Container::Container(const Snapshot& snapshot) {
   w.I32(dims.ct);
   w.U32(static_cast<uint32_t>(algo.size()));
   w.Bytes(algo.data(), algo.size());
-  w.F64(snapshot.meta.eps_total);
-  w.F64(snapshot.meta.eps_pattern);
-  w.F64(snapshot.meta.eps_sanitize);
-  w.F64(snapshot.meta.norm_min);
-  w.F64(snapshot.meta.norm_max);
-  w.I32(snapshot.meta.t_train);
+  w.F64(meta.eps_total);
+  w.F64(meta.eps_pattern);
+  w.F64(meta.eps_sanitize);
+  w.F64(meta.norm_min);
+  w.F64(meta.norm_max);
+  w.I32(meta.t_train);
   w.U64(cells.size());
   if constexpr (std::endian::native == std::endian::little) {
     release_ = {reinterpret_cast<const uint8_t*>(cells.data()), sizeof(double) * cells.size()};
@@ -378,7 +378,7 @@ Snapshot Snapshot::FromMatrix(const grid::ConsumptionMatrix& sanitized,
 }
 
 std::vector<uint8_t> EncodeSnapshot(const Snapshot& snapshot) {
-  const Container container(snapshot);
+  const Container container(snapshot.meta, snapshot.sanitized);
   std::vector<uint8_t> out;
   out.reserve(container.size());
   for (const std::span<const uint8_t> piece : container.pieces()) {
@@ -477,7 +477,12 @@ uint32_t SnapshotVersion(const uint8_t* data, size_t size) {
 }
 
 Status WriteSnapshot(const Snapshot& snapshot, const std::string& path) {
-  const Container container(snapshot);
+  return WriteSnapshot(snapshot.meta, snapshot.sanitized, path);
+}
+
+Status WriteSnapshot(const SnapshotMeta& meta, const grid::ConsumptionMatrix& sanitized,
+                     const std::string& path) {
+  const Container container(meta, sanitized);
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
   if (fd < 0) {

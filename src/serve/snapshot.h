@@ -96,13 +96,20 @@ StatusOr<Snapshot> DecodeSnapshot(const uint8_t* data, size_t size);
 /// it is too short or the magic is wrong. Reads the header only.
 uint32_t SnapshotVersion(const uint8_t* data, size_t size);
 
-/// Writes the container to `path`, the bytes EncodeSnapshot returns,
-/// without building it in memory: the header is encoded on its own, the
-/// CRC folds over it and then over the release where it lies, and header,
-/// release and trailer go out with one writev loop (on little-endian hosts;
-/// big-endian hosts encode a copy of the release). The file is written
-/// atomically via a sibling temp file, so a crashed writer never leaves a
-/// half-written snapshot at the final path.
+/// Writes the container of `meta` and `sanitized` to `path`, the bytes
+/// EncodeSnapshot returns for a snapshot holding them, without building it
+/// in memory: the header is encoded on its own, the CRC folds over it and
+/// then over the release where it lies, and header, release and trailer go
+/// out with one writev loop (on little-endian hosts; big-endian hosts
+/// encode a copy of the release). The file is written atomically via a
+/// sibling temp file, so a crashed writer never leaves a half-written
+/// snapshot at the final path. The ingest pipeline writes a live shard's
+/// release this way, with no Snapshot copy of it.
+Status WriteSnapshot(const SnapshotMeta& meta,
+                     const grid::ConsumptionMatrix& sanitized,
+                     const std::string& path);
+
+/// WriteSnapshot(snapshot.meta, snapshot.sanitized, path).
 Status WriteSnapshot(const Snapshot& snapshot, const std::string& path);
 
 /// Reads and validates a container from `path`. Anything but a regular

@@ -6,6 +6,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <bit>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -229,14 +230,33 @@ TEST(ReadingCodecTest, CheckedInCorpusReplaysClean) {
 
 // --------------------------- incremental prefix ---------------------------
 
-void RandomizedBitIdentityCheck(int threads, uint64_t seed) {
+/// A released slice as the ring publishes it, rich in signed zeros: an
+/// edge of the prefix recurrences written as `0.0 + v` instead of a copy
+/// turns a -0.0 into +0.0 and fails the bitwise checks below. A quarter of
+/// the slices are all -0.0; the rest mix -0.0, +0.0 and values of either
+/// sign.
+std::vector<double> SignedZeroSlice(const grid::Dims& dims, Rng& rng) {
+  std::vector<double> slice(static_cast<size_t>(dims.cx) * dims.cy, -0.0);
+  if (rng.UniformInt(0, 3) == 0) return slice;
+  for (double& v : slice) {
+    const int64_t kind = rng.UniformInt(0, 4);
+    v = kind < 2 ? -0.0 : kind == 2 ? 0.0 : rng.Uniform(-3.0, 3.0);
+  }
+  return slice;
+}
+
+void RandomizedBitIdentityCheck(int threads, uint64_t seed,
+                                grid::Dims dims = {5, 4, 16}) {
   ThreadGuard guard;
   exec::SetThreads(threads);
-  const grid::Dims dims{5, 4, 16};
   auto inc = ingest::IncrementalPrefix::Create(dims);
   ASSERT_TRUE(inc.ok());
   Rng rng(seed);
-  for (int round = 0; round < 24; ++round) {
+  // Three laps of the ring: every round also publishes the next logical
+  // slice, as the ingest pipeline does, so each slot is rewritten and the
+  // flush restarts from slot 0 once per lap.
+  const int rounds = std::max(24, 3 * dims.ct);
+  for (int round = 0; round < rounds; ++round) {
     // A burst of trailing-range mutations, like an ingest epoch: some point
     // adds, then a few whole-slice overwrites (the DP release path).
     const int lo = static_cast<int>(rng.UniformInt(0, dims.ct - 1));
@@ -254,6 +274,7 @@ void RandomizedBitIdentityCheck(int threads, uint64_t seed) {
           inc->SetSlice(static_cast<int>(rng.UniformInt(lo, dims.ct - 1)), slice)
               .ok());
     }
+    ASSERT_TRUE(inc->SetSliceLogical(round, SignedZeroSlice(dims, rng)).ok());
     EXPECT_TRUE(inc->dirty());
     EXPECT_GT(inc->Flush(), 0);
     EXPECT_FALSE(inc->dirty());
@@ -263,7 +284,8 @@ void RandomizedBitIdentityCheck(int threads, uint64_t seed) {
     ASSERT_EQ(inc->prefix().size(), scratch.raw().size());
     EXPECT_EQ(0, std::memcmp(inc->prefix().data(), scratch.raw().data(),
                              scratch.raw().size() * sizeof(double)))
-        << "round " << round << " threads " << threads;
+        << "round " << round << " threads " << threads << " dims "
+        << dims.cx << "x" << dims.cy << "x" << dims.ct;
   }
 }
 
@@ -273,6 +295,119 @@ TEST(IncrementalPrefixTest, MatchesFromScratchBitwiseSingleThread) {
 
 TEST(IncrementalPrefixTest, MatchesFromScratchBitwiseEightThreads) {
   RandomizedBitIdentityCheck(8, 0xA11CE);
+}
+
+TEST(IncrementalPrefixTest, MatchesFromScratchBitwiseOnUnitAxes) {
+  // An axis of extent 1 leaves only the edge copy on that axis.
+  for (const grid::Dims dims :
+       {grid::Dims{1, 4, 16}, grid::Dims{5, 1, 16}, grid::Dims{5, 4, 1},
+        grid::Dims{1, 1, 7}, grid::Dims{1, 1, 1}}) {
+    RandomizedBitIdentityCheck(1, 0xB0B, dims);
+    RandomizedBitIdentityCheck(8, 0xB0B, dims);
+  }
+}
+
+TEST(IncrementalPrefixTest, FoldedExtremaMatchMatrixScanBitwise) {
+  const grid::Dims dims{3, 4, 6};
+  const size_t cells = static_cast<size_t>(dims.cx) * dims.cy;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto inc = ingest::IncrementalPrefix::Create(dims);
+  ASSERT_TRUE(inc.ok());
+  const auto expect_scan = [&](const std::string& what) {
+    const grid::ConsumptionMatrix::Extrema folded = inc->MinMax();
+    const grid::ConsumptionMatrix::Extrema scanned = inc->matrix().MinMax();
+    EXPECT_EQ(std::bit_cast<uint64_t>(folded.min),
+              std::bit_cast<uint64_t>(scanned.min))
+        << what;
+    EXPECT_EQ(std::bit_cast<uint64_t>(folded.max),
+              std::bit_cast<uint64_t>(scanned.max))
+        << what;
+  };
+  expect_scan("zeroed");
+
+  Rng rng(31);
+  // Each slice kind, in turn, through three laps of the ring: lap 1 still
+  // has zeroed slots, later laps replace one kind by another.
+  const auto make_slice = [&](int kind) {
+    std::vector<double> slice(cells);
+    for (double& v : slice) v = rng.Uniform(-3.0, 3.0);
+    switch (kind) {
+      case 0:  // all positive
+        for (double& v : slice) v = rng.Uniform(1.0, 2.0);
+        break;
+      case 1:  // all negative
+        for (double& v : slice) v = rng.Uniform(-2.0, -1.0);
+        break;
+      case 2:  // all equal
+        std::fill(slice.begin(), slice.end(), 1.25);
+        break;
+      case 3:  // zeros of both signs only
+        for (double& v : slice) v = rng.UniformInt(0, 1) == 0 ? -0.0 : 0.0;
+        break;
+      case 4:
+        slice[rng.UniformInt(0, cells - 1)] = inf;
+        break;
+      case 5:
+        slice[rng.UniformInt(0, cells - 1)] = -inf;
+        break;
+      case 6:
+        slice[rng.UniformInt(0, cells - 1)] = nan;
+        break;
+      case 7:  // mixed signs with a -0.0
+        slice[rng.UniformInt(0, cells - 1)] = -0.0;
+        break;
+      default:  // mixed signs
+        break;
+    }
+    return slice;
+  };
+  for (int64_t t = 0; t < 3 * dims.ct * 3; ++t) {
+    const int kind = static_cast<int>(t % 9);
+    ASSERT_TRUE(inc->SetSliceLogical(t, make_slice(kind)).ok());
+    expect_scan("slice " + std::to_string(t) + " kind " + std::to_string(kind));
+    if (t % 4 == 3) {
+      // Add after SetSlice: the slot's recorded extrema are stale.
+      const int slot = inc->SlotFor(t);
+      ASSERT_TRUE(inc->Add(static_cast<int>(rng.UniformInt(0, dims.cx - 1)),
+                           static_cast<int>(rng.UniformInt(0, dims.cy - 1)),
+                           slot, t % 8 == 3 ? -100.0 : 100.0)
+                      .ok());
+      expect_scan("add after slice " + std::to_string(t));
+    }
+  }
+  // Laps with no zero and nothing non-finite take the fold: mixed signs,
+  // then one value in every cell, then its negation.
+  for (int lap = 0; lap < 3; ++lap) {
+    for (int t = 0; t < dims.ct; ++t) {
+      std::vector<double> slice = make_slice(8);
+      if (lap > 0) std::fill(slice.begin(), slice.end(), lap == 1 ? 7.5 : -7.5);
+      ASSERT_TRUE(inc->SetSlice(t, slice).ok());
+      expect_scan("lap " + std::to_string(lap) + " slot " + std::to_string(t));
+    }
+  }
+  // A NaN first in its slice hides the slice's extremes from a `<` scan of
+  // the slice; the matrix scan meets it mid-pillar and finds them. The other
+  // slots hold -7.5, so only the non-finite rule makes MinMax scan.
+  std::vector<double> nan_first = make_slice(8);
+  nan_first[0] = nan;
+  nan_first[5] = -100.0;
+  nan_first[6] = 100.0;
+  ASSERT_TRUE(inc->SetSlice(1, nan_first).ok());
+  expect_scan("NaN first in slot 1");
+  // A zero of each sign at the extreme, placed so that the first in the
+  // matrix's cell-major order (cell (0,0) of slot 3) is not the first in
+  // slot order (cell (0,1) of slot 1): a fold would pick the other sign.
+  for (const double sign : {1.0, -1.0}) {
+    for (int t = 0; t < dims.ct; ++t) {
+      std::vector<double> slice(cells, 2.0 * sign);
+      if (t == 1) slice[1] = 0.0 * sign;
+      if (t == 3) slice[0] = -0.0 * sign;
+      ASSERT_TRUE(inc->SetSlice(t, slice).ok());
+      expect_scan("zero extreme, sign " + std::to_string(sign) + " slot " +
+                  std::to_string(t));
+    }
+  }
 }
 
 TEST(IncrementalPrefixTest, RejectsBadArguments) {
