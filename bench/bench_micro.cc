@@ -129,8 +129,9 @@ void BM_Crc32(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
 
-// The one-pass min/max scan that gives every publish its container's
-// normalization extrema, at the same shape.
+// The one-pass min/max scan of a whole release, at the same shape. A live
+// publish folds its ring's per-slot extrema instead, and scans only when the
+// fold cannot be exact (IncrementalPrefix::MinMax).
 void BM_MatrixExtrema(benchmark::State& state) {
   const grid::ConsumptionMatrix m = RandomMatrix({32, 32, 168}, 13);
   for (auto _ : state) {

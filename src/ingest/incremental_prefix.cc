@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <utility>
 
 namespace stpt::ingest {
 
@@ -42,9 +41,6 @@ Status IncrementalPrefix::SetSlice(int t, const std::vector<double>& values) {
     return Status::InvalidArgument(
         "IncrementalPrefix::SetSlice: values size must be cx*cy");
   }
-  // The slice is written in (x, y) order, the order its cells lie in the
-  // matrix, so the first smallest and first largest found here are the
-  // slot's own under MinMax's rule.
   SlotExtrema extrema{values[0], values[0], true};
   size_t i = 0;
   for (int x = 0; x < dims_.cx; ++x) {
@@ -92,7 +88,7 @@ int64_t IncrementalPrefix::Flush() {
   const int ct = dims_.ct;
   const int lo = dirty_lo_;
   const size_t plane = static_cast<size_t>(cy) * ct;
-  const size_t span = static_cast<size_t>(ct - lo) * sizeof(double);
+  const size_t bytes = static_cast<size_t>(ct - lo) * sizeof(double);
 
   // grid::PrefixSum3D's three passes, fused per pillar and restricted to
   // [lo, ct). The t-scan reads the clean value at t = lo - 1 the previous
@@ -120,14 +116,14 @@ int64_t IncrementalPrefix::Flush() {
 
       const double* s = sp + lo;
       if (y == 0) {
-        std::memcpy(row, s, span);
+        std::memcpy(row, s, bytes);
       } else {
         for (int i = 0; i < ct - lo; ++i) row[i] = s[i] + row[i];
       }
 
       double* p = prefix_.data() + base + lo;
       if (x == 0) {
-        std::memcpy(p, row, span);
+        std::memcpy(p, row, bytes);
       } else {
         const double* prev = p - plane;
         for (int i = 0; i < ct - lo; ++i) p[i] = row[i] + prev[i];

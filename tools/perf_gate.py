@@ -8,7 +8,10 @@ enforces two properties:
      real_time against the same-named row of the baseline. The gated rows
      are the per-backend kernels (BM_Kernel*), the .stpt codec
      (BM_SnapshotEncode, BM_SnapshotDecode, BM_Crc32), the one-pass
-     min/max scan each publish runs (BM_MatrixExtrema) and one training
+     min/max scan of a whole release (BM_MatrixExtrema; a live publish
+     runs it only when its per-slot fold cannot be exact), one lap of the
+     live shard's epoch flush at one exec thread (BM_IncrementalPrefixFlush:
+     168 SetSliceLogical + Flush pairs at 32x32x168) and one training
      step of the pattern model's GRU core under the default backend
      (BM_GruTrainStep: batch 32, input = hidden = 32, 6 steps, Linear
      head, MseLoss, Backward). Hard failure on an AVX2-capable runner;
@@ -41,7 +44,8 @@ import json
 import sys
 
 GATED_PREFIXES = ("BM_Kernel", "BM_SnapshotEncode", "BM_SnapshotDecode",
-                  "BM_Crc32", "BM_MatrixExtrema", "BM_GruTrainStep")
+                  "BM_Crc32", "BM_MatrixExtrema", "BM_IncrementalPrefixFlush",
+                  "BM_GruTrainStep")
 SPEEDUP_FAMILIES = ("BM_KernelMatMul", "BM_KernelMatMulNN",
                     "BM_KernelMatMulNNBwd", "BM_KernelPrefixSum")
 
