@@ -1,27 +1,19 @@
 #include "dp/mechanisms.h"
 
 #include <cassert>
-#include <cmath>
 
-#include "kernels/backend.h"
 #include "obs/metrics.h"
 
 namespace stpt::dp {
 namespace {
 
-/// Noise-draw counters (process-wide registry), resolved once. Draw counts
+/// Noise-draw counter (process-wide registry), resolved once. Draw counts
 /// are an auditing aid: each draw corresponds to one mechanism invocation
 /// against the data, so the counter doubles as a sanity check on the budget
 /// accounting.
 obs::Counter& LaplaceDraws() {
   static obs::Counter* c = obs::Registry::Global().GetCounter(
       "stpt_dp_laplace_draws_total", "Laplace noise samples drawn");
-  return *c;
-}
-
-obs::Counter& GeometricDraws() {
-  static obs::Counter* c = obs::Registry::Global().GetCounter(
-      "stpt_dp_geometric_draws_total", "Two-sided geometric noise samples drawn");
   return *c;
 }
 
@@ -40,59 +32,6 @@ StatusOr<LaplaceMechanism> LaplaceMechanism::Create(double epsilon, double sensi
 double LaplaceMechanism::AddNoise(double value, Rng& rng) const {
   LaplaceDraws().Increment();
   return value + rng.Laplace(scale_);
-}
-
-std::vector<double> LaplaceMechanism::AddNoise(const std::vector<double>& values,
-                                               Rng& rng) const {
-  std::vector<double> out(values.size());
-  if (values.empty()) return out;
-  // Consume one draw from the caller's stream so successive vector calls see
-  // independent noise, then fan out order-independent substreams from it.
-  const Rng base = rng.Fork(rng.NextUint64());
-  kernels::Default()->LaplaceBatch(values.data(), out.data(),
-                                   static_cast<int64_t>(values.size()), scale_,
-                                   base);
-  LaplaceDraws().Increment(values.size());
-  return out;
-}
-
-StatusOr<GeometricMechanism> GeometricMechanism::Create(double epsilon,
-                                                        double sensitivity) {
-  if (!(epsilon > 0.0)) {
-    return Status::InvalidArgument("GeometricMechanism: epsilon must be > 0");
-  }
-  if (!(sensitivity > 0.0)) {
-    return Status::InvalidArgument("GeometricMechanism: sensitivity must be > 0");
-  }
-  GeometricMechanism m(epsilon, sensitivity);
-  m.alpha_ = std::exp(-epsilon / sensitivity);
-  return m;
-}
-
-int64_t GeometricMechanism::AddNoise(int64_t value, Rng& rng) const {
-  GeometricDraws().Increment();
-  // Two-sided geometric via difference of two geometric variables, sampled
-  // with inverse CDF: G = floor(log(u) / log(alpha)).
-  auto sample_geometric = [&]() -> int64_t {
-    double u;
-    do {
-      u = rng.NextDouble();
-    } while (u <= 0.0);
-    return static_cast<int64_t>(std::floor(std::log(u) / std::log(alpha_)));
-  };
-  return value + sample_geometric() - sample_geometric();
-}
-
-std::vector<int64_t> GeometricMechanism::AddNoise(const std::vector<int64_t>& values,
-                                                  Rng& rng) const {
-  std::vector<int64_t> out(values.size());
-  if (values.empty()) return out;
-  const Rng base = rng.Fork(rng.NextUint64());
-  kernels::Default()->GeometricBatch(values.data(), out.data(),
-                                     static_cast<int64_t>(values.size()), alpha_,
-                                     base);
-  GeometricDraws().Increment(values.size());
-  return out;
 }
 
 double ClipReading(double value, double bound) {

@@ -22,15 +22,6 @@ class LaplaceMechanism {
   /// Returns value + Lap(sensitivity/epsilon).
   double AddNoise(double value, Rng& rng) const;
 
-  /// Sanitizes a vector element-wise, treating each element as an
-  /// independent query of the configured sensitivity under the *same*
-  /// epsilon (caller is responsible for composition accounting). Draws are
-  /// batched through the kernel backend on order-independent Rng substreams,
-  /// so the result is identical at any thread count and on any backend (but
-  /// differs from looping the scalar overload, which consumes the caller's
-  /// stream sequentially).
-  std::vector<double> AddNoise(const std::vector<double>& values, Rng& rng) const;
-
   /// The Laplace scale b = sensitivity / epsilon.
   double scale() const { return scale_; }
   double epsilon() const { return epsilon_; }
@@ -46,38 +37,6 @@ class LaplaceMechanism {
   double epsilon_;
   double sensitivity_;
   double scale_;
-};
-
-/// The geometric mechanism: integer-valued analogue of Laplace, suitable for
-/// count queries. Adds two-sided geometric noise with parameter
-/// alpha = exp(-epsilon / sensitivity).
-class GeometricMechanism {
- public:
-  /// Creates a mechanism. Returns InvalidArgument if epsilon or sensitivity
-  /// is non-positive.
-  static StatusOr<GeometricMechanism> Create(double epsilon, double sensitivity);
-
-  /// Returns value + two-sided-geometric noise.
-  int64_t AddNoise(int64_t value, Rng& rng) const;
-
-  /// Sanitizes a vector of counts element-wise (same composition caveat as
-  /// the Laplace vector overload). Batched through the kernel backend on
-  /// order-independent Rng substreams.
-  std::vector<int64_t> AddNoise(const std::vector<int64_t>& values, Rng& rng) const;
-
-  double epsilon() const { return epsilon_; }
-  double sensitivity() const { return sensitivity_; }
-
- private:
-  GeometricMechanism(double epsilon, double sensitivity)
-      : epsilon_(epsilon), sensitivity_(sensitivity),
-        alpha_(0.0) {}
-
-  double epsilon_;
-  double sensitivity_;
-  double alpha_;
-
-  friend class GeometricMechanismTestPeer;
 };
 
 /// Clips a value into [0, bound]; used to enforce the per-reading

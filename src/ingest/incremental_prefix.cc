@@ -22,17 +22,6 @@ StatusOr<IncrementalPrefix> IncrementalPrefix::Create(grid::Dims dims) {
   return IncrementalPrefix(dims);
 }
 
-Status IncrementalPrefix::Add(int x, int y, int t, double v) {
-  if (x < 0 || x >= dims_.cx || y < 0 || y >= dims_.cy || t < 0 ||
-      t >= dims_.ct) {
-    return Status::InvalidArgument("IncrementalPrefix::Add: out of bounds");
-  }
-  matrix_.add(x, y, t, v);
-  slot_extrema_[static_cast<size_t>(t)].exact = false;
-  if (t < dirty_lo_) dirty_lo_ = t;
-  return Status::OK();
-}
-
 Status IncrementalPrefix::SetSlice(int t, const std::vector<double>& values) {
   if (t < 0 || t >= dims_.ct) {
     return Status::InvalidArgument("IncrementalPrefix::SetSlice: bad timestep");
@@ -49,7 +38,7 @@ Status IncrementalPrefix::SetSlice(int t, const std::vector<double>& values) {
       matrix_.set(x, y, t, v);
       if (v < extrema.min) extrema.min = v;
       if (extrema.max < v) extrema.max = v;
-      extrema.exact &= std::isfinite(v);
+      extrema.finite &= std::isfinite(v);
     }
   }
   slot_extrema_[static_cast<size_t>(t)] = extrema;
@@ -69,15 +58,15 @@ Status IncrementalPrefix::SetSliceLogical(int64_t t,
 grid::ConsumptionMatrix::Extrema IncrementalPrefix::MinMax() const {
   grid::ConsumptionMatrix::Extrema folded{slot_extrema_[0].min,
                                           slot_extrema_[0].max};
-  bool exact = true;
+  bool finite = true;
   for (const SlotExtrema& slot : slot_extrema_) {
     if (slot.min < folded.min) folded.min = slot.min;
     if (folded.max < slot.max) folded.max = slot.max;
-    exact &= slot.exact;
+    finite &= slot.finite;
   }
   // Only +0 and -0 compare equal with different bits among finite values,
   // so a nonzero min or max is the same double wherever it occurs.
-  if (!exact || folded.min == 0.0 || folded.max == 0.0) return matrix_.MinMax();
+  if (!finite || folded.min == 0.0 || folded.max == 0.0) return matrix_.MinMax();
   return folded;
 }
 

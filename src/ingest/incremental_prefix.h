@@ -43,10 +43,6 @@ class IncrementalPrefix {
   /// dimensions.
   static StatusOr<IncrementalPrefix> Create(grid::Dims dims);
 
-  /// Adds `v` to element (x, y, t) and marks timestep t dirty. Returns
-  /// InvalidArgument for out-of-bounds coordinates.
-  Status Add(int x, int y, int t, double v);
-
   /// Overwrites the whole time slice t and records its extrema. `values`
   /// holds cx*cy entries in (x, y) row-major order. Returns InvalidArgument
   /// on a bad t or size.
@@ -74,8 +70,7 @@ class IncrementalPrefix {
   /// SetSlice records: ct pairs instead of a scan of every cell. Equal
   /// doubles have equal bits unless they are zeros, so the fold is exact
   /// whenever its min and max are nonzero. It scans the matrix instead
-  /// when either is a zero, when a slot holds a NaN or an infinity, or when
-  /// Add changed a slot after its last SetSlice.
+  /// when either is a zero or when a slot holds a NaN or an infinity.
   grid::ConsumptionMatrix::Extrema MinMax() const;
 
   const grid::Dims& dims() const { return dims_; }
@@ -89,12 +84,11 @@ class IncrementalPrefix {
 
  private:
   /// A slot's min and max as the first smallest and first largest of its
-  /// cells under `<`. `exact` is false when the slot holds a non-finite
-  /// value or Add changed it after its last SetSlice.
+  /// cells under `<`, and whether every cell of the slot is finite.
   struct SlotExtrema {
     double min = 0.0;
     double max = 0.0;
-    bool exact = true;
+    bool finite = true;
   };
 
   explicit IncrementalPrefix(grid::Dims dims);

@@ -98,12 +98,16 @@ class Backend {
                             size_t half) const = 0;
 
   // ---- 3-D prefix-sum scan stages ----------------------------------------
-  // The three separable passes of grid::PrefixSum3D, shared with the
-  // incremental t-suffix rescans of stpt::ingest. `t_lo` restricts each
-  // pass to timesteps [t_lo, ct) — entries below t_lo in `dst` must already
-  // hold the previous pass result (clean prefix). `src` may alias `dst`
-  // (the in-place full build). All passes are elementwise in t above the
-  // recurrence axis, so per-element accumulation order is fixed.
+  // The three separable passes of grid::PrefixSum3D, its only caller, which
+  // always passes t_lo = 0 (the ingest flush walks its own fused pillar
+  // loop). `t_lo` restricts each pass to timesteps [t_lo, ct) — entries
+  // below t_lo in `dst` must already hold the previous pass result (clean
+  // prefix); only kernels::Checker sweeps t_lo > 0. The parameter stays
+  // because the deployed-path benchmark's counting backend overrides these
+  // virtuals with it; it goes in the same benchmark change as LaplaceBatch
+  // and GeometricBatch. `src` may alias `dst` (the in-place full build).
+  // All passes are elementwise in t above the recurrence axis, so
+  // per-element accumulation order is fixed.
   /// Pass 1 — inclusive scan along t, one independent chain per pillar:
   /// dst[p*ct + t] = src[p*ct + t] + dst[p*ct + t - 1]  (t = 0: copy).
   virtual void ScanT(const double* src, double* dst, int64_t pillars, int ct,

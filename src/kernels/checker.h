@@ -35,8 +35,9 @@ class Checker {
   Status CheckHaar(size_t n, uint64_t seed) const;
 
   /// All three scan passes over an RNG-filled (cx, cy, ct) volume with the
-  /// given dirty bound, both in the staged src->dst form (the ingest rescan)
-  /// and the aliased in-place form (the full build). Bit-exact.
+  /// given dirty bound, both in the staged src->dst form, which only this
+  /// checker runs, and the aliased in-place form (the full build).
+  /// Bit-exact.
   Status CheckScan(int cx, int cy, int ct, int t_lo, uint64_t seed) const;
 
   /// Laplace batch sampling from a shared base Rng. Bit-exact: Fork(i)

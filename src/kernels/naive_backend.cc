@@ -228,10 +228,11 @@ void NaiveBackend::HaarLevelInv(const double* in, double* out,
 }
 
 // ---- 3-D prefix-sum scan stages ------------------------------------------
-// Each pass generalises the full in-place build (src == dst, t_lo == 0) and
-// the ingest dirty-suffix rescan (separate stage arrays, t_lo > 0) with one
-// per-element recurrence, so both callers perform the exact value chain a
-// from-scratch grid::PrefixSum3D build performs.
+// Each pass is one per-element recurrence over [t_lo, ct). The program's
+// only caller is the full in-place grid::PrefixSum3D build (src == dst,
+// t_lo == 0); t_lo > 0 is reached only from kernels::Checker, and the
+// parameter stays until the benchmark's counting backend, which overrides
+// these virtuals, drops it.
 
 void NaiveBackend::ScanT(const double* src, double* dst, int64_t pillars,
                          int ct, int t_lo) const {

@@ -134,12 +134,6 @@ QueryServer::QueryServer(QueryServer&&) noexcept = default;
 QueryServer& QueryServer::operator=(QueryServer&&) noexcept = default;
 QueryServer::~QueryServer() = default;
 
-StatusOr<QueryServer> QueryServer::Open(const std::string& snapshot_path) {
-  auto snapshot = ReadSnapshot(snapshot_path);
-  if (!snapshot.ok()) return snapshot.status();
-  return Create(std::move(*snapshot));
-}
-
 StatusOr<QueryServer> QueryServer::Create(Snapshot snapshot) {
   auto prefix =
       grid::PrefixSum3D::FromRaw(snapshot.sanitized.dims(), std::move(snapshot.prefix));

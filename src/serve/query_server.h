@@ -42,9 +42,6 @@ struct ServerStats {
 /// `stats` and `metrics` wire commands consistent by construction.
 class QueryServer {
  public:
-  /// Loads a snapshot container from disk and builds the engine.
-  static StatusOr<QueryServer> Open(const std::string& snapshot_path);
-
   /// Builds the engine from an in-memory snapshot (no file round-trip):
   /// Create(meta, prefix table). Fails when the table does not match the
   /// release's dims.

@@ -257,22 +257,15 @@ void RandomizedBitIdentityCheck(int threads, uint64_t seed,
   // flush restarts from slot 0 once per lap.
   const int rounds = std::max(24, 3 * dims.ct);
   for (int round = 0; round < rounds; ++round) {
-    // A burst of trailing-range mutations, like an ingest epoch: some point
-    // adds, then a few whole-slice overwrites (the DP release path).
+    // A burst of trailing-range slice overwrites, like an ingest epoch
+    // republishing its range: the first lands on lo itself, so every dirty
+    // lo in [0, ct) occurs, the rest at random t >= lo.
     const int lo = static_cast<int>(rng.UniformInt(0, dims.ct - 1));
-    for (int i = 0; i < 40; ++i) {
-      ASSERT_TRUE(inc->Add(static_cast<int>(rng.UniformInt(0, dims.cx - 1)),
-                           static_cast<int>(rng.UniformInt(0, dims.cy - 1)),
-                           static_cast<int>(rng.UniformInt(lo, dims.ct - 1)),
-                           rng.Uniform(-5.0, 5.0))
-                      .ok());
-    }
-    for (int s = 0; s < 3; ++s) {
+    for (int s = 0; s < 4; ++s) {
       std::vector<double> slice(static_cast<size_t>(dims.cx * dims.cy));
-      for (double& v : slice) v = rng.Uniform(0.0, 10.0);
-      ASSERT_TRUE(
-          inc->SetSlice(static_cast<int>(rng.UniformInt(lo, dims.ct - 1)), slice)
-              .ok());
+      for (double& v : slice) v = rng.Uniform(-5.0, 10.0);
+      const int t = s == 0 ? lo : static_cast<int>(rng.UniformInt(lo, dims.ct - 1));
+      ASSERT_TRUE(inc->SetSlice(t, slice).ok());
     }
     ASSERT_TRUE(inc->SetSliceLogical(round, SignedZeroSlice(dims, rng)).ok());
     EXPECT_TRUE(inc->dirty());
@@ -366,15 +359,6 @@ TEST(IncrementalPrefixTest, FoldedExtremaMatchMatrixScanBitwise) {
     const int kind = static_cast<int>(t % 9);
     ASSERT_TRUE(inc->SetSliceLogical(t, make_slice(kind)).ok());
     expect_scan("slice " + std::to_string(t) + " kind " + std::to_string(kind));
-    if (t % 4 == 3) {
-      // Add after SetSlice: the slot's recorded extrema are stale.
-      const int slot = inc->SlotFor(t);
-      ASSERT_TRUE(inc->Add(static_cast<int>(rng.UniformInt(0, dims.cx - 1)),
-                           static_cast<int>(rng.UniformInt(0, dims.cy - 1)),
-                           slot, t % 8 == 3 ? -100.0 : 100.0)
-                      .ok());
-      expect_scan("add after slice " + std::to_string(t));
-    }
   }
   // Laps with no zero and nothing non-finite take the fold: mixed signs,
   // then one value in every cell, then its negation.
@@ -414,8 +398,6 @@ TEST(IncrementalPrefixTest, RejectsBadArguments) {
   EXPECT_FALSE(ingest::IncrementalPrefix::Create({0, 2, 2}).ok());
   auto inc = ingest::IncrementalPrefix::Create({2, 2, 2});
   ASSERT_TRUE(inc.ok());
-  EXPECT_FALSE(inc->Add(2, 0, 0, 1.0).ok());
-  EXPECT_FALSE(inc->Add(0, 0, -1, 1.0).ok());
   EXPECT_FALSE(inc->SetSlice(2, std::vector<double>(4, 0.0)).ok());
   EXPECT_FALSE(inc->SetSlice(0, std::vector<double>(3, 0.0)).ok());
   EXPECT_EQ(inc->Flush(), 0);  // nothing dirty
@@ -1347,24 +1329,38 @@ TEST_F(IngestLoopbackTest, HammerAcrossTenRepublishesZeroErrorsMonotoneEpoch) {
   options.epoch_readings = 64;
   Start(options);
 
-  // Seed the shard with one published slice so queries can start.
-  auto feeder = serve::Client::Connect("127.0.0.1", server_->port());
-  ASSERT_TRUE(feeder.ok());
-  ASSERT_TRUE(
-      feeder->Ingest("", "", SliceReadings(options.dims, 0, 32, 1)).ok());
-  auto first = feeder->Ingest("", "", {});
-  ASSERT_TRUE(first.ok());
-  ASSERT_EQ(first->epoch, 1u);
+  // Two feeders stream at once, each on its own tenant, while query clients
+  // read both: concurrent Apply calls on distinct shards, the second shard's
+  // creation and first registry load beside the first shard's swaps, and
+  // swaps of both shards under the reads. Seed the first shard with one
+  // published slice so its queries can start; the second shard starts
+  // empty and is created by its feeder.
+  const std::string tenants[2] = {serve::kDefaultTenant, "second"};
+  {
+    auto seeder = serve::Client::Connect("127.0.0.1", server_->port());
+    ASSERT_TRUE(seeder.ok());
+    ASSERT_TRUE(
+        seeder->Ingest(tenants[0], "", SliceReadings(options.dims, 0, 32, 1)).ok());
+    auto first = seeder->Ingest(tenants[0], "", {});
+    ASSERT_TRUE(first.ok());
+    ASSERT_EQ(first->epoch, 1u);
+  }
 
-  constexpr int kClients = 3;
+  // Per tenant: the newest epoch its feeder has seen acked, and the newest
+  // epoch any query client has seen served. A client reads a tenant only
+  // once that tenant has published.
+  std::atomic<uint64_t> fed_epoch[2] = {1, 0};
+  std::atomic<uint64_t> max_epoch[2] = {0, 0};
   std::atomic<bool> done{false};
   std::atomic<int64_t> errors{0};
   std::atomic<int64_t> queries{0};
-  std::atomic<uint64_t> max_epoch{0};
+
+  constexpr int kClients = 3;
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
+      const int shard = c == kClients - 1 ? 1 : 0;
       auto client = serve::Client::Connect("127.0.0.1", server_->port());
       if (!client.ok()) {
         errors.fetch_add(1);
@@ -1377,9 +1373,12 @@ TEST_F(IngestLoopbackTest, HammerAcrossTenRepublishesZeroErrorsMonotoneEpoch) {
         errors.fetch_add(1);
         return;
       }
+      while (fed_epoch[shard].load() == 0 && !done.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
       uint64_t last_epoch = 0;
       while (!done.load(std::memory_order_relaxed)) {
-        auto response = client->QueryTenant("", "", *wl);
+        auto response = client->QueryTenant(tenants[shard], "", *wl);
         // Zero-downtime contract: every query during a swap storm answers,
         // and the observed epoch never moves backwards.
         if (!response.ok() || response->answers.size() != wl->size() ||
@@ -1389,33 +1388,65 @@ TEST_F(IngestLoopbackTest, HammerAcrossTenRepublishesZeroErrorsMonotoneEpoch) {
         }
         last_epoch = response->epoch;
         queries.fetch_add(static_cast<int64_t>(wl->size()));
-        uint64_t seen = max_epoch.load(std::memory_order_relaxed);
+        uint64_t seen = max_epoch[shard].load(std::memory_order_relaxed);
         while (seen < last_epoch &&
-               !max_epoch.compare_exchange_weak(seen, last_epoch)) {
+               !max_epoch[shard].compare_exchange_weak(seen, last_epoch)) {
         }
       }
     });
   }
 
-  // Stream slice by slice: each batch completes the previous slice, so
-  // every batch past the count threshold republishes.
-  uint64_t last_epoch = first->epoch;
-  int republishes = 0;
-  for (int t = 1; t < options.dims.ct && republishes < 12; ++t) {
-    auto ack = feeder->Ingest(
-        "", "", SliceReadings(options.dims, t, 80, 100 + static_cast<uint64_t>(t)));
-    ASSERT_TRUE(ack.ok());
-    ASSERT_EQ(ack->rejected, 0u);
-    if (ack->epoch > last_epoch) ++republishes;
-    EXPECT_GE(ack->epoch, last_epoch);
-    last_epoch = ack->epoch;
+  // Each feeder streams slice by slice: each batch completes the previous
+  // slice, so every batch past the count threshold republishes. Every ack
+  // must report 0 rejected readings and an epoch that never decreases.
+  struct Feed {
+    std::string failure;  ///< first broken ack, empty when all were sound
+    int republishes = 0;
+    uint64_t last_epoch = 0;
+  };
+  Feed feeds[2];
+  std::vector<std::thread> feeders;
+  for (int f = 0; f < 2; ++f) {
+    feeders.emplace_back([&, f] {
+      Feed& feed = feeds[f];
+      feed.last_epoch = fed_epoch[f].load();
+      auto client = serve::Client::Connect("127.0.0.1", server_->port());
+      if (!client.ok()) {
+        feed.failure = "connect: " + client.status().ToString();
+        return;
+      }
+      for (int t = f == 0 ? 1 : 0; t < options.dims.ct && feed.republishes < 12;
+           ++t) {
+        auto ack = client->Ingest(
+            tenants[f], "",
+            SliceReadings(options.dims, t, 80,
+                          100 + 1000 * static_cast<uint64_t>(f) +
+                              static_cast<uint64_t>(t)));
+        if (!ack.ok()) {
+          feed.failure = "slice " + std::to_string(t) + ": " + ack.status().ToString();
+          return;
+        }
+        if (ack->rejected != 0 || ack->epoch < feed.last_epoch) {
+          feed.failure = "slice " + std::to_string(t) + ": rejected " +
+                         std::to_string(ack->rejected) + ", epoch " +
+                         std::to_string(ack->epoch) + " after " +
+                         std::to_string(feed.last_epoch);
+          return;
+        }
+        if (ack->epoch > feed.last_epoch) ++feed.republishes;
+        feed.last_epoch = ack->epoch;
+        fed_epoch[f].store(ack->epoch);
+      }
+    });
   }
-  EXPECT_GE(republishes, 10);
-  // The feeder can finish before a client thread has sent its first query;
-  // keep the clients querying until one of them has seen the final epoch.
+  for (std::thread& t : feeders) t.join();
+
+  // A feeder can finish before a client thread has sent its first query;
+  // keep the clients querying until each tenant's final epoch was served.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (max_epoch.load() < last_epoch && errors.load() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
+  while ((max_epoch[0].load() < feeds[0].last_epoch ||
+          max_epoch[1].load() < feeds[1].last_epoch) &&
+         errors.load() == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   done.store(true);
@@ -1423,10 +1454,16 @@ TEST_F(IngestLoopbackTest, HammerAcrossTenRepublishesZeroErrorsMonotoneEpoch) {
 
   EXPECT_EQ(errors.load(), 0);
   EXPECT_GT(queries.load(), 0);
-  EXPECT_EQ(max_epoch.load(), last_epoch);
-  auto audit = pipeline_->Audit(serve::kDefaultTenant, serve::kDefaultTile);
-  ASSERT_TRUE(audit.ok());
-  EXPECT_EQ(audit->ledger_composed_epsilon, audit->consumed_epsilon);
+  for (int f = 0; f < 2; ++f) {
+    EXPECT_EQ(feeds[f].failure, "") << tenants[f];
+    EXPECT_GE(feeds[f].republishes, 10) << tenants[f];
+    EXPECT_EQ(max_epoch[f].load(), feeds[f].last_epoch) << tenants[f];
+    auto audit = pipeline_->Audit(tenants[f], serve::kDefaultTile);
+    ASSERT_TRUE(audit.ok()) << tenants[f];
+    EXPECT_EQ(audit->epoch, feeds[f].last_epoch) << tenants[f];
+    EXPECT_EQ(audit->rejected, 0u) << tenants[f];
+    EXPECT_EQ(audit->ledger_composed_epsilon, audit->consumed_epsilon) << tenants[f];
+  }
 }
 
 TEST(IngestTimerTest, TimerDrivenSweepPublishesIdleShard) {

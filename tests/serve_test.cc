@@ -495,7 +495,9 @@ TEST(QueryServerTest, OpenFromDiskServesLoadedPrefixSums) {
   const Snapshot snap = MakeTestSnapshot(dims, 37);
   const std::string path = testing::TempDir() + "/served.stpt";
   ASSERT_TRUE(WriteSnapshot(snap, path).ok());
-  auto server = QueryServer::Open(path);
+  auto loaded = ReadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto server = QueryServer::Create(std::move(*loaded));
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   EXPECT_EQ(server->dims(), dims);
   EXPECT_EQ(server->meta().algorithm, "stpt");

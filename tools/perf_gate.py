@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Perf gate for the kernel, container-codec and extrema rows of bench_micro.
+"""Perf gate for bench_micro rows and guard for perfbench CPU cost.
 
-Compares a fresh BENCH_micro.json against the checked-in baseline and
-enforces two properties:
+The fresh file is told apart by its content: google-benchmark JSON (a
+"benchmarks" list) goes to the micro gate, the stdout of perfbench runs (each
+a `provenance` line ... one final JSON line) to the perfbench guard.
+
+Micro gate: compares a fresh BENCH_micro.json against the checked-in baseline
+and enforces two properties:
 
   1. No gated row regresses more than --tolerance (default 30%) in
      real_time against the same-named row of the baseline. The gated rows
@@ -34,13 +38,23 @@ enforces two properties:
 Rows present in only one file are reported but never fail the gate, so
 adding or retiring benchmarks does not require lockstep baseline updates.
 
+Perfbench guard: for each workload, the median `cpu_us_per_op` over the fresh
+untraced runs against BENCH_perfbench.json, the median recorded on the host,
+commit, seed and run length that file names. A median more than --tolerance
+above the baseline prints a GitHub `::warning`; the guard never fails, since
+a baseline from another host class compares different machines. It fails
+only on input that holds no perfbench run.
+
 Usage:
   tools/perf_gate.py --fresh build/bench/BENCH_micro.json \
                      --baseline BENCH_micro.json
+  tools/perf_gate.py --fresh build/perfbench/results.txt \
+                     --baseline BENCH_perfbench.json
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 GATED_PREFIXES = ("BM_Kernel", "BM_SnapshotEncode", "BM_SnapshotDecode",
@@ -61,15 +75,111 @@ def load_rows(path):
     return doc.get("context", {}), rows
 
 
+def is_google_benchmark(path):
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except ValueError:
+        return False
+    return isinstance(doc, dict) and "benchmarks" in doc
+
+
+def load_perfbench_runs(path):
+    """Splits perfbench stdout into runs, each from its `provenance` line to
+    its final JSON line, as (provenance dict, result dict) pairs."""
+    runs = []
+    provenance = None
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if line.startswith("provenance {"):
+                provenance = json.loads(line[len("provenance "):])
+            elif provenance is not None and line.startswith('{"correct"'):
+                runs.append((provenance, json.loads(line)))
+                provenance = None
+    return runs
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+
+def guard_perfbench(args):
+    runs = load_perfbench_runs(args.fresh)
+    if not runs:
+        print(f"FAIL: {args.fresh} holds neither google-benchmark JSON nor a "
+              "perfbench run", file=sys.stderr)
+        return 1
+    with open(args.baseline) as f:
+        baseline = json.load(f)
+    host = baseline["host"]
+    print(f"baseline: {host['cpu']}, nproc {host['nproc']}, commit "
+          f"{baseline['commit'][:12]}, seed {baseline['seed']}, "
+          f"{baseline['seconds']:g} s runs, median of {baseline['runs']}")
+    here = cpu_model()
+    if here != host["cpu"]:
+        print(f"note: this host ({here}) is not the baseline's; "
+              "ratios compare different machines")
+
+    fresh = {}
+    for provenance, result in runs:
+        workload = provenance["workload"]
+        metric = result["metrics"].get("cpu_us_per_op")
+        if metric is None:
+            print(f"note: {workload}: run without cpu_us_per_op (traced?), skipping")
+            continue
+        if (provenance["seconds"], provenance["seed"]) != (baseline["seconds"],
+                                                           baseline["seed"]):
+            print(f"note: {workload}: run at {provenance['seconds']:g} s, seed "
+                  f"{provenance['seed']}; the baseline's are "
+                  f"{baseline['seconds']:g} s, seed {baseline['seed']}")
+        fresh.setdefault(workload, []).append(metric["value"])
+
+    warnings = []
+    for workload in sorted(set(fresh) | set(baseline["workloads"])):
+        if workload not in baseline["workloads"]:
+            print(f"note: {workload}: no baseline row, skipping")
+            continue
+        if workload not in fresh:
+            print(f"note: {workload}: no fresh run")
+            continue
+        base = baseline["workloads"][workload]["cpu_us_per_op"]
+        values = fresh[workload]
+        median = statistics.median(values)
+        ratio = median / base
+        line = (f"{workload}: cpu_us_per_op baseline={base:.4g}us "
+                f"fresh={median:.4g}us (median of {len(values)}: "
+                f"{' '.join(f'{v:.4g}' for v in values)}) ratio={ratio:.2f}")
+        print(line)
+        if ratio > 1.0 + args.tolerance:
+            warnings.append(f"{line} — more than {args.tolerance:.0%} above baseline")
+    for w in warnings:
+        print(f"::warning title=perfbench guard::{w}")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--fresh", required=True, help="just-produced BENCH_micro.json")
-    ap.add_argument("--baseline", required=True, help="checked-in BENCH_micro.json")
+    ap.add_argument("--fresh", required=True,
+                    help="just-produced BENCH_micro.json or perfbench stdout")
+    ap.add_argument("--baseline", required=True,
+                    help="checked-in BENCH_micro.json or BENCH_perfbench.json")
     ap.add_argument("--tolerance", type=float, default=0.30,
-                    help="max allowed fractional regression per gated row")
+                    help="max allowed fractional regression per gated row "
+                         "or perfbench workload")
     ap.add_argument("--min-speedup", type=float, default=1.5,
                     help="required naive/avx2 ratio for MatMul and PrefixSum")
     args = ap.parse_args()
+
+    if not is_google_benchmark(args.fresh):
+        return guard_perfbench(args)
 
     fresh_ctx, fresh = load_rows(args.fresh)
     _, baseline = load_rows(args.baseline)
